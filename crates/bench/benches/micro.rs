@@ -2,7 +2,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use eagletree_controller::{Controller, ControllerConfig, IoTags, RequestKind, SsdRequest};
-use eagletree_core::{EventQueue, QueueKind, SimDuration, SimRng, SimTime, Zipf};
+use eagletree_core::{EventQueue, SimDuration, SimRng, SimTime, Zipf};
 use eagletree_flash::{FlashArray, FlashCommand, Geometry, PhysicalAddr, TimingSpec};
 
 fn bench_event_queue(c: &mut Criterion) {
@@ -21,32 +21,28 @@ fn bench_event_queue(c: &mut Criterion) {
     });
 }
 
-/// The calendar backend against the binary-heap oracle at simulation
-/// scale: 100k+ pending events in the classic hold model (every pop
-/// schedules a replacement inside the horizon), where the heap pays
-/// O(log n) per operation and the calendar stays amortized O(1).
-fn bench_queue_backends_100k(c: &mut Criterion) {
+/// The event queue at simulation scale: 100k+ pending events in the
+/// classic hold model (every pop schedules a replacement inside the
+/// horizon), O(log n) per operation on the binary heap.
+fn bench_queue_hold_100k(c: &mut Criterion) {
     const PENDING: u64 = 100_000;
     const HORIZON: u64 = 1 << 24;
-    for kind in [QueueKind::Heap, QueueKind::Calendar] {
-        c.bench_function(&format!("queue_hold_100k_{kind}"), |b| {
-            b.iter(|| {
-                let mut q = EventQueue::with_kind(kind);
-                q.hint_horizon(SimDuration::from_nanos(HORIZON));
-                let mut rng = SimRng::new(0xCA1E);
-                for i in 0..PENDING {
-                    q.schedule(SimTime::from_nanos(rng.gen_range(HORIZON)), i);
-                }
-                let mut acc = 0u64;
-                for i in 0..2 * PENDING {
-                    let e = q.pop().expect("hold model keeps the queue full");
-                    acc = acc.wrapping_add(e.payload);
-                    q.schedule(e.time + SimDuration::from_nanos(1 + rng.gen_range(HORIZON)), i);
-                }
-                black_box(acc)
-            })
-        });
-    }
+    c.bench_function("queue_hold_100k", |b| {
+        b.iter(|| {
+            let mut q = EventQueue::new();
+            let mut rng = SimRng::new(0xCA1E);
+            for i in 0..PENDING {
+                q.schedule(SimTime::from_nanos(rng.gen_range(HORIZON)), i);
+            }
+            let mut acc = 0u64;
+            for i in 0..2 * PENDING {
+                let e = q.pop().expect("hold model keeps the queue full");
+                acc = acc.wrapping_add(e.payload);
+                q.schedule(e.time + SimDuration::from_nanos(1 + rng.gen_range(HORIZON)), i);
+            }
+            black_box(acc)
+        })
+    });
 }
 
 fn bench_zipf(c: &mut Criterion) {
@@ -220,7 +216,7 @@ fn bench_gc_steady_state(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_event_queue,
-    bench_queue_backends_100k,
+    bench_queue_hold_100k,
     bench_zipf,
     bench_flash_issue,
     bench_full_sim,

@@ -2,7 +2,7 @@
 
 use crate::sched::SchedPolicy;
 use crate::types::OpClass;
-use eagletree_core::{ObsConfig, QueueKind};
+use eagletree_core::ObsConfig;
 use eagletree_flash::FaultConfig;
 
 /// Which mapping scheme the FTL uses.
@@ -198,14 +198,6 @@ pub struct ControllerConfig {
     pub checkpoint_interval_programs: u64,
     /// RNG seed for randomized policies (victim selection).
     pub seed: u64,
-    /// Capture a per-IO visual trace of up to this many events
-    /// (0 disables tracing; see `Controller::trace`).
-    pub trace_events: usize,
-    /// Event-queue backend for the controller agenda. `Calendar` (the
-    /// default) is amortized O(1) on the dense flash timeline; `Heap` is
-    /// the O(log n) oracle. Pop order — and therefore every simulation
-    /// result — is byte-identical between the two.
-    pub queue: QueueKind,
     /// Media-fault model installed into the flash array. `None` (the
     /// default) simulates perfect media — byte-identical to pre-fault
     /// builds. `Some` enables program/erase failures, ECC read-retry and
@@ -240,8 +232,6 @@ impl Default for ControllerConfig {
             ram_bytes: 64 << 20,
             battery_ram_bytes: 1 << 20,
             seed: 0xEA61E,
-            trace_events: 0,
-            queue: QueueKind::default(),
             fault: None,
             scrub: None,
             obs: ObsConfig::default(),

@@ -14,8 +14,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use eagletree_core::{
-    Cause, Obs, ObsConfig, OnlineStats, SimDuration, SimRng, SimTime, TraceKind, TraceLog,
-    NO_SPAN,
+    Cause, EventQueue, Obs, ObsConfig, OnlineStats, SimDuration, SimRng, SimTime, NO_SPAN,
 };
 use eagletree_flash::{
     BlockAddr, FaultEvent, FlashArray, FlashCommand, Geometry, MemoryKind, MemoryManager,
@@ -30,7 +29,6 @@ use crate::ftl::{
     TranslationWriteback,
 };
 use crate::gc::{pick_victim, FoldPlan, FoldState, MergeJob, ReclaimJob};
-use crate::lanes::{LaneSet, MISC_LANE};
 use crate::pend::{LaneKey, PendingSet, QueueKey, NO_SLOT};
 use crate::recovery::{self, CheckpointRecord, CrashImage, RecoveryMode, RecoveryReport};
 use crate::sched::{class_index, class_table, ClassTable};
@@ -357,9 +355,9 @@ pub struct Controller {
     mem: MemoryManager,
     rng: SimRng,
     detector: MultiBloomDetector,
-    /// The agenda: per-LUN event lanes (lane 0 = misc) merged
-    /// deterministically. Backend per `ControllerConfig::queue`.
-    events: LaneSet<CtrlEvent>,
+    /// The agenda: flash completions and resource wake-ups, popped in
+    /// `(time, seq)` order.
+    events: EventQueue<CtrlEvent>,
     pending: PendingSet<PendingOp>,
     /// Reusable scratch for one scheduling round's head candidates
     /// (`(key, slot)`), keys-only view, write memo and hybrid-write scan —
@@ -383,7 +381,6 @@ pub struct Controller {
     reclaim_active: Vec<u32>,
     buffer: Option<WriteBuffer>,
     flushes_inflight: u32,
-    tracer: Option<TraceLog>,
     /// Lifecycle-span collector (`ObsConfig::span_capacity > 0`). Boxed
     /// so the disabled default costs one pointer; pure observation — it
     /// never feeds back into scheduling, timing or the RNG.
@@ -489,16 +486,10 @@ impl Controller {
         };
         let ckpt =
             Self::checkpoint_state(&cfg, &geometry, logical_pages, tvpns, &mut mem, &mut alloc)?;
-        let tracer = if cfg.trace_events > 0 {
-            Some(TraceLog::new(cfg.trace_events))
-        } else {
-            None
-        };
         let obs = cfg
             .obs
             .spans_enabled()
             .then(|| Box::new(Obs::new(cfg.obs.span_capacity)));
-        let agenda = Self::new_agenda(&geometry, &timing, &cfg);
         Ok(Controller {
             reverse: vec![None; geometry.total_pages() as usize],
             reclaim_active: vec![0; geometry.total_luns() as usize],
@@ -509,7 +500,7 @@ impl Controller {
             alloc,
             cfg,
             mem,
-            events: agenda,
+            events: EventQueue::new(),
             pending: PendingSet::new(),
             sched_cand: Vec::new(),
             sched_keys: Vec::new(),
@@ -526,7 +517,6 @@ impl Controller {
             victims: BTreeSet::new(),
             buffer,
             flushes_inflight: 0,
-            tracer,
             obs,
             obs_cur: ObsCur::default(),
             logical_pages,
@@ -647,48 +637,6 @@ impl Controller {
         self.events.scheduled() + self.events.popped()
     }
 
-    /// Events popped per agenda lane (index 0 = the misc lane, then one
-    /// per LUN in geometry order).
-    pub fn lane_pops(&self) -> &[u64] {
-        self.events.lane_pops()
-    }
-
-    /// Number of agenda lanes (the misc lane plus one per LUN).
-    pub fn event_lanes(&self) -> u32 {
-        self.events.lane_count()
-    }
-
-    /// The event-queue backend the agenda runs on.
-    pub fn queue_kind(&self) -> eagletree_core::QueueKind {
-        self.events.kind()
-    }
-
-    /// Declare the largest gap expected between now and future agenda
-    /// events (wake-source horizon). Forwarded to the calendar backend to
-    /// self-tune bucket width; never changes behavior, only speed.
-    pub fn hint_horizon(&mut self, horizon: SimDuration) {
-        self.events.hint_horizon(horizon);
-    }
-
-    /// Build the per-LUN lane agenda: lane 0 is the misc lane (channel
-    /// wakes, instant completions), then one lane per LUN. The horizon
-    /// hint covers the longest single flash op with slack so completions
-    /// stay in the calendar's near ring.
-    fn new_agenda(
-        geometry: &Geometry,
-        timing: &TimingSpec,
-        cfg: &ControllerConfig,
-    ) -> LaneSet<CtrlEvent> {
-        let mut lanes = LaneSet::new(cfg.queue, 1 + geometry.total_luns() as usize);
-        let max_op = timing
-            .t_erase
-            .as_nanos()
-            .max(timing.t_prog.as_nanos())
-            .max(timing.t_read.as_nanos());
-        lanes.hint_horizon(SimDuration::from_nanos(max_op.saturating_mul(2).max(1)));
-        lanes
-    }
-
     /// The memory manager (RAM budget introspection).
     pub fn memory(&self) -> &MemoryManager {
         &self.mem
@@ -759,11 +707,6 @@ impl Controller {
         self.buffer.as_ref()
     }
 
-    /// The visual trace, when `trace_events > 0` was configured.
-    pub fn trace(&self) -> Option<&TraceLog> {
-        self.tracer.as_ref()
-    }
-
     /// The span collector, when `ObsConfig::span_capacity > 0`.
     pub fn obs(&self) -> Option<&Obs> {
         self.obs.as_deref()
@@ -780,7 +723,7 @@ impl Controller {
         self.cfg.obs
     }
 
-    /// Display names of the span event lanes, index-aligned with
+    /// Display names of the span busy lanes, index-aligned with
     /// [`eagletree_core::Span`] busy-slice lane ids: "misc", then one per
     /// LUN in geometry order ("ch0/lun0", …). For Perfetto export and
     /// gantt rendering.
@@ -911,7 +854,7 @@ impl Controller {
             if t > now {
                 break;
             }
-            let (_lane, ev) = self.events.pop().expect("peeked event");
+            let ev = self.events.pop().expect("peeked event");
             match ev.payload {
                 CtrlEvent::Wake => {}
                 CtrlEvent::Done(d) => self.handle_done(d, ev.time),
@@ -1091,9 +1034,6 @@ impl Controller {
     fn enqueue(&mut self, class: OpClass, tag: Option<u8>, now: SimTime, kind: PendKind) {
         let seq = self.op_seq;
         self.op_seq += 1;
-        if let Some(t) = &mut self.tracer {
-            t.record(now, seq, TraceKind::Enqueue { queue: class.name() });
-        }
         let span = if self.obs.is_none() {
             NO_SPAN
         } else {
@@ -1236,36 +1176,21 @@ impl Controller {
     }
 
     /// Issue a flash command whose resources the scheduler verified free,
-    /// recording it in the visual trace. Returns the event lane of the
-    /// LUN the command occupies alongside the flash timing outcome.
-    fn issue_cmd(
-        &mut self,
-        cmd: FlashCommand,
-        now: SimTime,
-        trace_id: u64,
-    ) -> (u32, eagletree_flash::IssueOutcome) {
+    /// recording its busy window on the current op's span. Returns the
+    /// flash timing outcome.
+    fn issue_cmd(&mut self, cmd: FlashCommand, now: SimTime) -> eagletree_flash::IssueOutcome {
         let out = self
             .array
             .issue(cmd, now)
             .unwrap_or_else(|e| panic!("scheduler issued invalid command: {e}"));
-        if let Some(t) = &mut self.tracer {
-            t.record(
-                now,
-                trace_id,
-                TraceKind::FlashOp {
-                    op: cmd.mnemonic(),
-                    channel: cmd.channel(),
-                    lun: cmd.lun(),
-                    busy: out.lun_free_at.saturating_since(now),
-                },
-            );
-        }
-        let lane = 1 + self
-            .array
-            .geometry()
-            .lun_index(cmd.channel(), cmd.lun());
         if self.obs_cur.span != NO_SPAN {
             if let Some(o) = &mut self.obs {
+                // Busy lane 0 is "misc"; each LUN has its own (see
+                // `obs_lane_names`).
+                let lane = 1 + self
+                    .array
+                    .geometry()
+                    .lun_index(cmd.channel(), cmd.lun());
                 // ECC read-retry rounds extend the busy window; attribute
                 // the extra rounds' share of it to the Retry stage.
                 let retry = match out.fault {
@@ -1286,7 +1211,7 @@ impl Controller {
                 );
             }
         }
-        (lane, out)
+        out
     }
 
     /// Close the current op's internal span without a flash command —
@@ -1303,9 +1228,6 @@ impl Controller {
     }
 
     fn complete_app(&mut self, id: RequestId, now: SimTime) {
-        if let Some(t) = &mut self.tracer {
-            t.record(now, id, TraceKind::Complete);
-        }
         if let Some(o) = &mut self.obs {
             o.close_request(id, now);
         }
@@ -1514,14 +1436,13 @@ impl Controller {
     /// was cancelled by an injected fault (the op re-enqueued instead):
     /// the LUN/channel occupancy the command charged is still real, and
     /// the retry can only issue once those resources free.
-    fn fault_wakes(&mut self, lane: u32, out: eagletree_flash::IssueOutcome) {
-        self.events.schedule(lane, out.done_at, CtrlEvent::Wake);
+    fn fault_wakes(&mut self, out: eagletree_flash::IssueOutcome) {
+        self.events.schedule(out.done_at, CtrlEvent::Wake);
         if out.channel_free_at < out.done_at {
-            self.events
-                .schedule(MISC_LANE, out.channel_free_at, CtrlEvent::Wake);
+            self.events.schedule(out.channel_free_at, CtrlEvent::Wake);
         }
         if out.lun_free_at < out.done_at {
-            self.events.schedule(lane, out.lun_free_at, CtrlEvent::Wake);
+            self.events.schedule(out.lun_free_at, CtrlEvent::Wake);
         }
     }
 
@@ -2324,42 +2245,41 @@ impl Controller {
             .record(now.saturating_since(op.enqueued_at).as_micros_f64());
         match op.kind {
             PendKind::Transfer { addr, done } => {
-                let (lane, out) = self.issue_cmd(FlashCommand::TransferOut(addr), now, op.seq);
-                self.finish_issue(op.class, done, lane, out);
+                let out = self.issue_cmd(FlashCommand::TransferOut(addr), now);
+                self.finish_issue(op.class, done, out);
             }
             PendKind::Erase { block, job } => {
-                let (lane, out) = self.issue_cmd(FlashCommand::Erase(block), now, op.seq);
+                let out = self.issue_cmd(FlashCommand::Erase(block), now);
                 // A transient erase failure leaves the block un-reset:
                 // charge the time, retry. A retiring failure falls through
                 // to EraseDone, whose bad-block path swallows the block.
                 if matches!(out.fault, Some(FaultEvent::EraseFailed { retired: false })) {
                     self.stats.erase_retries += 1;
                     self.enqueue(op.class, op.tag, now, PendKind::Erase { block, job });
-                    self.fault_wakes(lane, out);
+                    self.fault_wakes(out);
                     return;
                 }
-                self.finish_issue(op.class, DoneWhat::EraseDone { job, block }, lane, out);
+                self.finish_issue(op.class, DoneWhat::EraseDone { job, block }, out);
             }
             PendKind::AppRead { id, lpn } => match self.ftl.peek(lpn) {
                 None => self.complete_app(id, now),
                 Some(ppn) => {
                     let addr = self.array.geometry().page_at(ppn);
-                    let (lane, out) = self.issue_cmd(FlashCommand::ReadStart(addr), now, op.seq);
+                    let out = self.issue_cmd(FlashCommand::ReadStart(addr), now);
                     self.note_read_fault(&out, Some(lpn));
-                    self.finish_issue(op.class, DoneWhat::AppReadArray { id, addr }, lane, out);
+                    self.finish_issue(op.class, DoneWhat::AppReadArray { id, addr }, out);
                 }
             },
             PendKind::MapFetchRead { tvpn } => match self.ftl.translation_location(tvpn) {
                 None => {
                     // Entries live in RAM structures: resolve immediately.
                     self.obs_close_cur(now);
-                    self.events
-                        .schedule(MISC_LANE, now, CtrlEvent::Done(DoneWhat::MapFetchXfer { tvpn }));
+                    self.events.schedule(now, CtrlEvent::Done(DoneWhat::MapFetchXfer { tvpn }));
                 }
                 Some(ppn) => {
                     let addr = self.array.geometry().page_at(ppn);
-                    let (lane, out) = self.issue_cmd(FlashCommand::ReadStart(addr), now, op.seq);
-                    self.finish_issue(op.class, DoneWhat::MapFetchRead { tvpn, addr }, lane, out);
+                    let out = self.issue_cmd(FlashCommand::ReadStart(addr), now);
+                    self.finish_issue(op.class, DoneWhat::MapFetchRead { tvpn, addr }, out);
                 }
             },
             PendKind::WbRead { wb } => {
@@ -2385,8 +2305,8 @@ impl Controller {
                     );
                 } else {
                     let addr = self.array.geometry().page_at(old.unwrap());
-                    let (lane, out) = self.issue_cmd(FlashCommand::ReadStart(addr), now, op.seq);
-                    self.finish_issue(op.class, DoneWhat::WbRead { wb, addr }, lane, out);
+                    let out = self.issue_cmd(FlashCommand::ReadStart(addr), now);
+                    self.finish_issue(op.class, DoneWhat::WbRead { wb, addr }, out);
                 }
             }
             PendKind::Write { lun, stream, what } => {
@@ -2408,7 +2328,7 @@ impl Controller {
                     }
                 };
                 self.reverse[ppn as usize] = Some(content);
-                let (lane, out) = self.issue_cmd(FlashCommand::Program(addr), now, op.seq);
+                let out = self.issue_cmd(FlashCommand::Program(addr), now);
                 if matches!(out.fault, Some(FaultEvent::ProgramFailed)) {
                     // The page is burned (no OOB stamp: recovery skips it)
                     // and its block can't be trusted for fresh allocations:
@@ -2419,7 +2339,7 @@ impl Controller {
                     self.alloc.retire_block(addr.block_addr());
                     self.stats.program_remaps += 1;
                     self.enqueue(op.class, op.tag, now, PendKind::Write { lun: None, stream, what });
-                    self.fault_wakes(lane, out);
+                    self.fault_wakes(out);
                     return;
                 }
                 // Relocations inherit the source's content version; host
@@ -2442,7 +2362,7 @@ impl Controller {
                         DoneWhat::FlushDone { lpn, version, ppn }
                     }
                 };
-                self.finish_issue(op.class, done, lane, out);
+                self.finish_issue(op.class, done, out);
             }
             PendKind::GcMove { job, from } => {
                 let from_ppn = self.array.geometry().page_index(from);
@@ -2465,7 +2385,7 @@ impl Controller {
                         self.reverse[self.array.geometry().page_index(to) as usize] =
                             Some(content);
                         let seq = self.source_seq(from_ppn);
-                        let (lane, out) = self.issue_cmd(FlashCommand::CopyBack { from, to }, now, op.seq);
+                        let out = self.issue_cmd(FlashCommand::CopyBack { from, to }, now);
                         let to_ppn = self.array.geometry().page_index(to);
                         if matches!(out.fault, Some(FaultEvent::ProgramFailed)) {
                             // Destination burned: retire its block and remap
@@ -2475,7 +2395,7 @@ impl Controller {
                             self.alloc.retire_block(to.block_addr());
                             self.stats.program_remaps += 1;
                             self.enqueue(op.class, op.tag, now, PendKind::GcMove { job, from });
-                            self.fault_wakes(lane, out);
+                            self.fault_wakes(out);
                             return;
                         }
                         // Copy-back reads on-chip; an uncorrectable source
@@ -2485,23 +2405,22 @@ impl Controller {
                         self.finish_issue(
                             op.class,
                             DoneWhat::GcCopyBackDone { job, from, to, content },
-                            lane,
                             out,
                         );
                         return;
                     }
                 }
-                let (lane, out) = self.issue_cmd(FlashCommand::ReadStart(from), now, op.seq);
+                let out = self.issue_cmd(FlashCommand::ReadStart(from), now);
                 let _ = source;
                 self.note_read_fault(&out, Self::content_lpn(content));
-                self.finish_issue(op.class, DoneWhat::GcReadArray { job, from }, lane, out);
+                self.finish_issue(op.class, DoneWhat::GcReadArray { job, from }, out);
             }
             PendKind::HybridWrite { what } => {
                 let lpn = what.lpn();
                 let ppn = self.hybrid_mut().commit_append(lpn);
                 let addr = self.array.geometry().page_at(ppn);
                 self.reverse[ppn as usize] = Some(PageContent::Data(lpn));
-                let (lane, out) = self.issue_cmd(FlashCommand::Program(addr), now, op.seq);
+                let out = self.issue_cmd(FlashCommand::Program(addr), now);
                 if matches!(out.fault, Some(FaultEvent::ProgramFailed)) {
                     // Burned log-block page: release the append slot (the
                     // entry stays, so merges see the offset as stale and
@@ -2512,7 +2431,7 @@ impl Controller {
                     self.hybrid_mut().abort_append(ppn);
                     self.stats.program_remaps += 1;
                     self.enqueue(op.class, op.tag, now, PendKind::HybridWrite { what });
-                    self.fault_wakes(lane, out);
+                    self.fault_wakes(out);
                     return;
                 }
                 self.stamp_program(addr, OobTag::Data { lpn }, None);
@@ -2522,7 +2441,7 @@ impl Controller {
                         DoneWhat::FlushDone { lpn, version, ppn }
                     }
                 };
-                self.finish_issue(op.class, done, lane, out);
+                self.finish_issue(op.class, done, out);
             }
             PendKind::MergeRead { mj } => {
                 let cur = self.merge_cur(mj);
@@ -2543,12 +2462,11 @@ impl Controller {
                     }
                     Some(src) => {
                         let addr = self.array.geometry().page_at(src);
-                        let (lane, out) = self.issue_cmd(FlashCommand::ReadStart(addr), now, op.seq);
+                        let out = self.issue_cmd(FlashCommand::ReadStart(addr), now);
                         self.note_read_fault(&out, Some(lpn));
                         self.finish_issue(
                             op.class,
                             DoneWhat::MergeReadDone { mj, from: addr },
-                            lane,
                             out,
                         );
                     }
@@ -2562,7 +2480,7 @@ impl Controller {
                 if from.is_some() {
                     self.reverse[dest as usize] = Some(PageContent::Data(lpn));
                 }
-                let (lane, out) = self.issue_cmd(FlashCommand::Program(addr), now, op.seq);
+                let out = self.issue_cmd(FlashCommand::Program(addr), now);
                 // A program failure here is absorbed: the fold's destination
                 // order is fixed, so the page keeps its slot and the at-risk
                 // data is already counted by the fault model's counters.
@@ -2581,20 +2499,19 @@ impl Controller {
                         );
                     }
                 }
-                self.finish_issue(op.class, DoneWhat::MergeProgDone { mj, from, dest }, lane, out);
+                self.finish_issue(op.class, DoneWhat::MergeProgDone { mj, from, dest }, out);
             }
             PendKind::MergeErase { source, block, job } => {
-                let (lane, out) = self.issue_cmd(FlashCommand::Erase(block), now, op.seq);
+                let out = self.issue_cmd(FlashCommand::Erase(block), now);
                 if matches!(out.fault, Some(FaultEvent::EraseFailed { retired: false })) {
                     self.stats.erase_retries += 1;
                     self.enqueue(op.class, op.tag, now, PendKind::MergeErase { source, block, job });
-                    self.fault_wakes(lane, out);
+                    self.fault_wakes(out);
                     return;
                 }
                 self.finish_issue(
                     op.class,
                     DoneWhat::MergeEraseDone { source, block, job },
-                    lane,
                     out,
                 );
             }
@@ -2606,7 +2523,7 @@ impl Controller {
                 };
                 let ppn = self.array.geometry().page_index(addr);
                 self.reverse[ppn as usize] = Some(PageContent::Checkpoint(slot));
-                let (lane, out) = self.issue_cmd(FlashCommand::Program(addr), now, op.seq);
+                let out = self.issue_cmd(FlashCommand::Program(addr), now);
                 // Program failures are absorbed: a snapshot with a burned
                 // page is caught at mount (the OOB read reports it) and
                 // recovery falls back to the previous slot or a full scan.
@@ -2622,17 +2539,17 @@ impl Controller {
                     },
                 );
                 self.stats.checkpoint_pages += 1;
-                self.finish_issue(op.class, DoneWhat::CkptWriteDone, lane, out);
+                self.finish_issue(op.class, DoneWhat::CkptWriteDone, out);
             }
             PendKind::CkptErase { block } => {
-                let (lane, out) = self.issue_cmd(FlashCommand::Erase(block), now, op.seq);
+                let out = self.issue_cmd(FlashCommand::Erase(block), now);
                 if matches!(out.fault, Some(FaultEvent::EraseFailed { retired: false })) {
                     self.stats.erase_retries += 1;
                     self.enqueue(op.class, op.tag, now, PendKind::CkptErase { block });
-                    self.fault_wakes(lane, out);
+                    self.fault_wakes(out);
                     return;
                 }
-                self.finish_issue(op.class, DoneWhat::CkptEraseDone { block }, lane, out);
+                self.finish_issue(op.class, DoneWhat::CkptEraseDone { block }, out);
             }
         }
     }
@@ -2651,20 +2568,15 @@ impl Controller {
         &mut self,
         class: OpClass,
         done: DoneWhat,
-        lane: u32,
         out: eagletree_flash::IssueOutcome,
     ) {
         self.stats.issued[class_index(class)] += 1;
-        // The completion and the LUN-free wake belong to the LUN's lane;
-        // a channel freeing is cross-LUN state, so it wakes via the misc
-        // lane.
-        self.events.schedule(lane, out.done_at, CtrlEvent::Done(done));
+        self.events.schedule(out.done_at, CtrlEvent::Done(done));
         if out.channel_free_at < out.done_at {
-            self.events
-                .schedule(MISC_LANE, out.channel_free_at, CtrlEvent::Wake);
+            self.events.schedule(out.channel_free_at, CtrlEvent::Wake);
         }
         if out.lun_free_at < out.done_at {
-            self.events.schedule(lane, out.lun_free_at, CtrlEvent::Wake);
+            self.events.schedule(out.lun_free_at, CtrlEvent::Wake);
         }
     }
 
@@ -3255,11 +3167,6 @@ impl Controller {
             // comes after `interval` further programs.
             ck.last_stamp = stamp_next;
         }
-        let tracer = if cfg.trace_events > 0 {
-            Some(TraceLog::new(cfg.trace_events))
-        } else {
-            None
-        };
         let obs = cfg
             .obs
             .spans_enabled()
@@ -3277,7 +3184,6 @@ impl Controller {
             translation_entries,
             mount_time: rec.mount_time,
         };
-        let agenda = Self::new_agenda(&geometry, flash.timing(), &cfg);
         let mut c = Controller {
             reverse: rec.reverse,
             reclaim_active: vec![0; geometry.total_luns() as usize],
@@ -3288,7 +3194,7 @@ impl Controller {
             alloc,
             cfg,
             mem,
-            events: agenda,
+            events: EventQueue::new(),
             pending: PendingSet::new(),
             sched_cand: Vec::new(),
             sched_keys: Vec::new(),
@@ -3305,7 +3211,6 @@ impl Controller {
             victims: BTreeSet::new(),
             buffer,
             flushes_inflight: 0,
-            tracer,
             obs,
             obs_cur: ObsCur::default(),
             logical_pages,

@@ -1,5 +1,5 @@
 //! Determinism regression: a fixed-seed mixed workload must produce
-//! byte-identical completions, counters and trace output across runs.
+//! byte-identical completions, counters and span output across runs.
 //! Event-ordering bugs — easy to introduce with multi-step merge machinery
 //! or with the slab/ready-queue dispatch structures — fail loudly here
 //! instead of as flaky experiment numbers.
@@ -7,13 +7,18 @@
 //! Coverage is the cross product that exercises every ordering decision:
 //! all three mapping schemes and all five `SchedPolicy` variants (the
 //! workload carries priority tags so `TagPriority` actually discriminates).
+//!
+//! Repeat-run comparisons cannot show that a refactor preserved behaviour,
+//! so [`golden_fingerprints_match_pinned_digests`] also pins an FNV-1a
+//! digest of every fingerprint in the matrix (with and without the media
+//! fault model). A change that moves any digest changed the simulation.
 
 use eagletree_controller::{
     Completion, Controller, ControllerConfig, IoTags, MappingKind, MergePolicy, RequestKind,
-    SchedPolicy, SsdRequest, WlConfig,
+    SchedPolicy, ScrubConfig, SsdRequest, WlConfig,
 };
-use eagletree_core::{ObsConfig, QueueKind, SimRng, SimTime};
-use eagletree_flash::{Geometry, TimingSpec};
+use eagletree_core::{ObsConfig, SimRng, SimTime};
+use eagletree_flash::{FaultConfig, Geometry, TimingSpec};
 
 struct Driver {
     c: Controller,
@@ -57,28 +62,32 @@ impl Driver {
     }
 }
 
+/// Span collection on, sized so every span of a run is retained.
+const SPANS_ON: ObsConfig = ObsConfig {
+    span_capacity: 1 << 16,
+    timeline_interval_us: 100,
+};
+
+/// A fault profile hot enough that the 2k-op mix sees program and erase
+/// failures, ECC retries and scrub refreshes.
+fn test_faults() -> FaultConfig {
+    FaultConfig {
+        program_fail_base: 0.01,
+        erase_fail_base: 0.15,
+        raw_bits_base: 4.0,
+        raw_bits_per_disturb: 0.05,
+        ecc_bits: 6,
+        read_retries: 2,
+        ..FaultConfig::default()
+    }
+}
+
 /// Run a fixed-seed mixed write/trim/read workload (every fifth request
-/// priority-tagged) and render everything observable into one string:
-/// completion stream, controller counters, per-class issue counts, merge
-/// counters, array counters and the visual trace.
-fn run_fingerprint(mapping: MappingKind, sched: SchedPolicy) -> String {
-    run_fingerprint_on(mapping, sched, QueueKind::default())
-}
-
-fn run_fingerprint_on(mapping: MappingKind, sched: SchedPolicy, queue: QueueKind) -> String {
-    run_fingerprint_obs(mapping, sched, queue, ObsConfig::default())
-}
-
-fn run_fingerprint_obs(
-    mapping: MappingKind,
-    sched: SchedPolicy,
-    queue: QueueKind,
-    obs: ObsConfig,
-) -> String {
+/// priority-tagged), optionally against a faulty array with scrubbing.
+fn run_workload(mapping: MappingKind, sched: SchedPolicy, faults: bool, obs: ObsConfig) -> Driver {
     let cfg = ControllerConfig {
         mapping,
         sched,
-        queue,
         obs,
         wl: WlConfig {
             check_every_erases: 16,
@@ -86,7 +95,13 @@ fn run_fingerprint_obs(
             idle_factor: 0.5,
             ..WlConfig::default()
         },
-        trace_events: 512,
+        fault: faults.then(test_faults),
+        scrub: faults.then_some(ScrubConfig {
+            check_every_ops: 128,
+            read_disturb_threshold: 8,
+            retention_threshold_s: 0.05,
+            max_inflight: 1,
+        }),
         ..ControllerConfig::default()
     };
     let mut d = Driver::new(Controller::new(Geometry::tiny(), TimingSpec::slc(), cfg).unwrap());
@@ -117,7 +132,13 @@ fn run_fingerprint_obs(
         d.run();
     }
     d.run();
+    d
+}
 
+/// Render everything observable into one string: completion stream,
+/// controller counters, per-class issue counts, merge counters, array
+/// counters and reliability counters.
+fn fingerprint(d: &Driver) -> String {
     let mut out = String::new();
     for c in &d.done {
         out.push_str(&format!("{}@{}\n", c.id, c.at.as_nanos()));
@@ -125,10 +146,26 @@ fn run_fingerprint_obs(
     out.push_str(&format!("{:?}\n", d.c.stats()));
     out.push_str(&format!("{:?}\n", d.c.merge_counters()));
     out.push_str(&format!("{:?}\n", d.c.array().counters()));
-    if let Some(trace) = d.c.trace() {
-        out.push_str(&trace.render_listing());
-    }
+    out.push_str(&format!("{:?}\n", d.c.reliability()));
     out
+}
+
+fn run_fingerprint(mapping: MappingKind, sched: SchedPolicy) -> String {
+    fingerprint(&run_workload(mapping, sched, false, ObsConfig::default()))
+}
+
+fn schemes() -> Vec<(&'static str, MappingKind)> {
+    vec![
+        ("page_map", MappingKind::PageMap),
+        ("dftl", MappingKind::Dftl { cmt_entries: 24 }),
+        (
+            "hybrid",
+            MappingKind::Hybrid {
+                log_blocks: 3,
+                merge: MergePolicy::Fifo,
+            },
+        ),
+    ]
 }
 
 fn all_policies() -> Vec<(&'static str, SchedPolicy)> {
@@ -139,6 +176,75 @@ fn all_policies() -> Vec<(&'static str, SchedPolicy)> {
         ("fair", SchedPolicy::fair_equal()),
         ("tag_priority", SchedPolicy::TagPriority),
     ]
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// FNV-1a digests of the spans-on fingerprint (counters plus
+/// `Obs::render_spans`) per `scheme/policy/faults`. Regenerate only for a
+/// change that is meant to alter simulated behaviour: the failure message
+/// prints the full table.
+const GOLDEN: [(&str, u64); 30] = [
+    ("page_map/fifo/off", 0x8a3015c20f21fb95),
+    ("page_map/fifo/on", 0x5fd00d2b53832700),
+    ("page_map/class_priority/off", 0xf19cfaf6975e3d87),
+    ("page_map/class_priority/on", 0x0a162583f4c478cb),
+    ("page_map/edf/off", 0xf19cfaf6975e3d87),
+    ("page_map/edf/on", 0x0a162583f4c478cb),
+    ("page_map/fair/off", 0xf19cfaf6975e3d87),
+    ("page_map/fair/on", 0xb8e882e22aa4f92c),
+    ("page_map/tag_priority/off", 0x948373165faca6ad),
+    ("page_map/tag_priority/on", 0x7f887408c2c9048b),
+    ("dftl/fifo/off", 0x424ab5cbf68a372e),
+    ("dftl/fifo/on", 0x9fd5141fae3701cb),
+    ("dftl/class_priority/off", 0xbc10c505e031f84f),
+    ("dftl/class_priority/on", 0x439140e64543b52b),
+    ("dftl/edf/off", 0x1d5393dd25012bcf),
+    ("dftl/edf/on", 0x97d37783d521bd3d),
+    ("dftl/fair/off", 0x9400c8f119c0eca6),
+    ("dftl/fair/on", 0x6d75e29e7523528b),
+    ("dftl/tag_priority/off", 0x1e19930d90d64d6e),
+    ("dftl/tag_priority/on", 0xa9a516bd0d38c8f9),
+    ("hybrid/fifo/off", 0x10379b935a48bc4c),
+    ("hybrid/fifo/on", 0xac4df9293fb3c444),
+    ("hybrid/class_priority/off", 0x721310317da5e7f3),
+    ("hybrid/class_priority/on", 0x1e177221a565f616),
+    ("hybrid/edf/off", 0x089462fba921537d),
+    ("hybrid/edf/on", 0x1e177221a565f616),
+    ("hybrid/fair/off", 0xa0f48f8a8156f8df),
+    ("hybrid/fair/on", 0x652cfe4c0e7ead4a),
+    ("hybrid/tag_priority/off", 0x93ab14f0c6fe3471),
+    ("hybrid/tag_priority/on", 0xf6d6063a1c781874),
+];
+
+#[test]
+fn golden_fingerprints_match_pinned_digests() {
+    let mut actual = Vec::new();
+    for (scheme, mapping) in schemes() {
+        for (policy, sched) in all_policies() {
+            for faults in [false, true] {
+                let d = run_workload(mapping, sched.clone(), faults, SPANS_ON);
+                let obs = d.c.obs().expect("spans enabled");
+                assert_eq!(obs.dropped(), 0, "span ring too small for the fingerprint");
+                let print = fingerprint(&d) + &obs.render_spans(usize::MAX);
+                let label = format!("{scheme}/{policy}/{}", if faults { "on" } else { "off" });
+                actual.push((label, fnv1a(&print)));
+            }
+        }
+    }
+    let pinned: Vec<(String, u64)> = GOLDEN.iter().map(|&(l, h)| (l.to_string(), h)).collect();
+    if actual != pinned {
+        let table: String = actual
+            .iter()
+            .map(|(l, h)| format!("    ({l:?}, {h:#018x}),\n"))
+            .collect();
+        panic!("golden fingerprint digests moved; actual table:\n{table}");
+    }
 }
 
 #[test]
@@ -191,58 +297,24 @@ fn all_sched_policies_run_deterministically() {
 }
 
 #[test]
-fn heap_and_calendar_agendas_are_byte_identical() {
-    // The calendar backend and the per-LUN lane split are pure event-
-    // engine restructurings: for every mapping scheme and every
-    // scheduling policy, a heap-backed agenda and a calendar-backed one
-    // must produce the same completion stream, counters and trace,
-    // byte for byte.
-    for mapping in [
-        MappingKind::PageMap,
-        MappingKind::Dftl { cmt_entries: 24 },
-        MappingKind::Hybrid {
-            log_blocks: 3,
-            merge: MergePolicy::Fifo,
-        },
-    ] {
-        for (name, policy) in all_policies() {
-            let heap = run_fingerprint_on(mapping, policy.clone(), QueueKind::Heap);
-            let cal = run_fingerprint_on(mapping, policy, QueueKind::Calendar);
-            assert!(
-                heap == cal,
-                "{mapping:?}/{name}: calendar agenda diverged from heap oracle"
-            );
-        }
-    }
-}
-
-#[test]
 fn observability_never_perturbs_the_schedule() {
     // The span collector is a pure recorder: it schedules no events,
     // consults no RNG and steers no control flow, so the fixed-seed
-    // fingerprint (completions, counters, trace) of an instrumented run
-    // must be byte-identical to the uninstrumented one — across every
-    // mapping scheme and both event-queue backends.
-    let on = ObsConfig {
-        span_capacity: 1 << 16,
-        timeline_interval_us: 100,
-    };
-    for mapping in [
-        MappingKind::PageMap,
-        MappingKind::Dftl { cmt_entries: 24 },
-        MappingKind::Hybrid {
-            log_blocks: 3,
-            merge: MergePolicy::Fifo,
-        },
-    ] {
-        for queue in [QueueKind::Heap, QueueKind::Calendar] {
-            let off =
-                run_fingerprint_obs(mapping, SchedPolicy::Fifo, queue, ObsConfig::default());
-            let with =
-                run_fingerprint_obs(mapping, SchedPolicy::Fifo, queue, on);
+    // fingerprint (completions, counters) of an instrumented run must be
+    // byte-identical to the uninstrumented one — across every mapping
+    // scheme, with and without the fault model.
+    for (_, mapping) in schemes() {
+        for faults in [false, true] {
+            let off = fingerprint(&run_workload(
+                mapping,
+                SchedPolicy::Fifo,
+                faults,
+                ObsConfig::default(),
+            ));
+            let with = fingerprint(&run_workload(mapping, SchedPolicy::Fifo, faults, SPANS_ON));
             assert!(
                 off == with,
-                "{mapping:?}/{queue:?}: enabling observability changed the simulation"
+                "{mapping:?}/faults={faults}: enabling observability changed the simulation"
             );
         }
     }

@@ -5,9 +5,8 @@
 //!
 //! * **Determinism.** The fault model draws from per-op hashes, not a
 //!   shared RNG stream: a fixed-seed faulty run is byte-identical across
-//!   repeats and across both agenda backends, exactly like a fault-free
-//!   one. (`FAULTS=on` widens the matrix to every scheme × policy — the
-//!   CI fault-matrix job sets it.)
+//!   repeats, exactly like a fault-free one. (`FAULTS=on` widens the
+//!   matrix to every scheme × policy — the CI fault-matrix job sets it.)
 //! * **No silent loss.** Every acknowledged write either remains mapped
 //!   to a valid page or its logical page appears in the controller's
 //!   lost-data ledger. Program failures remap in flight; uncorrectable
@@ -23,7 +22,7 @@ use eagletree_controller::{
     Completion, Controller, ControllerConfig, IoTags, MappingKind, MergePolicy, RecoveryMode,
     RequestKind, SchedPolicy, ScrubConfig, SsdRequest,
 };
-use eagletree_core::{QueueKind, SimRng, SimTime};
+use eagletree_core::{SimRng, SimTime};
 use eagletree_flash::{FaultConfig, Geometry, PageState, TimingSpec};
 
 /// Widen sweeps when the CI fault-matrix job sets `FAULTS=on`.
@@ -113,11 +112,10 @@ fn remount_faults() -> FaultConfig {
     }
 }
 
-fn faulty_cfg(mapping: MappingKind, sched: SchedPolicy, queue: QueueKind) -> ControllerConfig {
+fn faulty_cfg(mapping: MappingKind, sched: SchedPolicy) -> ControllerConfig {
     ControllerConfig {
         mapping,
         sched,
-        queue,
         fault: Some(test_faults()),
         scrub: Some(ScrubConfig {
             check_every_ops: 128,
@@ -125,7 +123,6 @@ fn faulty_cfg(mapping: MappingKind, sched: SchedPolicy, queue: QueueKind) -> Con
             retention_threshold_s: 0.05,
             max_inflight: 1,
         }),
-        trace_events: 512,
         ..ControllerConfig::default()
     }
 }
@@ -178,9 +175,6 @@ fn fingerprint(d: &Driver) -> String {
     out.push_str(&format!("{:?}\n", d.c.merge_counters()));
     out.push_str(&format!("{:?}\n", d.c.array().counters()));
     out.push_str(&format!("{:?}\n", d.c.reliability()));
-    if let Some(trace) = d.c.trace() {
-        out.push_str(&trace.render_listing());
-    }
     out
 }
 
@@ -206,7 +200,7 @@ fn policies() -> Vec<(&'static str, SchedPolicy)> {
 }
 
 #[test]
-fn faulty_runs_are_byte_identical_across_repeats_and_agendas() {
+fn faulty_runs_are_byte_identical_across_repeats() {
     for mapping in schemes() {
         let pols = if full_matrix() {
             policies()
@@ -214,25 +208,11 @@ fn faulty_runs_are_byte_identical_across_repeats_and_agendas() {
             vec![policies().remove(0)]
         };
         for (name, policy) in pols {
-            let heap_a = fingerprint(&churn(
-                faulty_cfg(mapping, policy.clone(), QueueKind::Heap),
-                2000,
-            ));
-            let heap_b = fingerprint(&churn(
-                faulty_cfg(mapping, policy.clone(), QueueKind::Heap),
-                2000,
-            ));
+            let a = fingerprint(&churn(faulty_cfg(mapping, policy.clone()), 2000));
+            let b = fingerprint(&churn(faulty_cfg(mapping, policy), 2000));
             assert!(
-                heap_a == heap_b,
+                a == b,
                 "{mapping:?}/{name}: faulty fingerprints diverged across repeats"
-            );
-            let cal = fingerprint(&churn(
-                faulty_cfg(mapping, policy, QueueKind::Calendar),
-                2000,
-            ));
-            assert!(
-                heap_a == cal,
-                "{mapping:?}/{name}: faulty calendar agenda diverged from heap"
             );
         }
     }
@@ -240,10 +220,7 @@ fn faulty_runs_are_byte_identical_across_repeats_and_agendas() {
 
 #[test]
 fn faults_actually_fired_and_reliability_reports_them() {
-    let d = churn(
-        faulty_cfg(MappingKind::PageMap, SchedPolicy::Fifo, QueueKind::Heap),
-        2000,
-    );
+    let d = churn(faulty_cfg(MappingKind::PageMap, SchedPolicy::Fifo), 2000);
     let rel = d.c.reliability().expect("fault model installed");
     assert!(rel.reads_sampled > 0);
     assert!(rel.corrected_bits > 0, "error curve never produced raw bits");
@@ -262,10 +239,7 @@ fn faults_actually_fired_and_reliability_reports_them() {
 #[test]
 fn no_acknowledged_write_is_lost_without_a_ledger_entry() {
     for mapping in schemes() {
-        let d = churn(
-            faulty_cfg(mapping, SchedPolicy::Fifo, QueueKind::Heap),
-            2000,
-        );
+        let d = churn(faulty_cfg(mapping, SchedPolicy::Fifo), 2000);
         let lost: BTreeSet<u64> = d.c.lost_data().collect();
         let g = *d.c.array().geometry();
         let mut verified = 0u64;
@@ -294,10 +268,7 @@ fn no_acknowledged_write_is_lost_without_a_ledger_entry() {
 #[test]
 fn ftl_invariants_hold_under_injected_failures() {
     for mapping in schemes() {
-        let d = churn(
-            faulty_cfg(mapping, SchedPolicy::Fifo, QueueKind::Heap),
-            2000,
-        );
+        let d = churn(faulty_cfg(mapping, SchedPolicy::Fifo), 2000);
         d.c.check_invariants();
         let rel = d.c.reliability().unwrap();
         assert!(
@@ -316,7 +287,7 @@ fn remount_tolerates_grown_bad_blocks() {
         let cfg = ControllerConfig {
             checkpoint_interval_programs: 128,
             fault: Some(remount_faults()),
-            ..faulty_cfg(MappingKind::PageMap, SchedPolicy::Fifo, QueueKind::Heap)
+            ..faulty_cfg(MappingKind::PageMap, SchedPolicy::Fifo)
         };
         let mut d = churn(cfg.clone(), 2500);
         let rel = d.c.reliability().unwrap();
@@ -353,11 +324,7 @@ fn remount_tolerates_grown_bad_blocks() {
 
 #[test]
 fn disabled_fault_model_reports_nothing() {
-    let cfg = ControllerConfig {
-        trace_events: 0,
-        ..ControllerConfig::default()
-    };
-    let d = churn(cfg, 500);
+    let d = churn(ControllerConfig::default(), 500);
     assert!(d.c.reliability().is_none());
     assert_eq!(d.c.lost_data().count(), 0);
     assert!(d.c.array().fault().is_none());

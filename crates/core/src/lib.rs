@@ -8,12 +8,15 @@
 //! the domain-independent pieces:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time,
-//! * [`EventQueue`] — a deterministic priority queue of timestamped events,
+//! * [`EventQueue`] — a deterministic binary-heap priority queue of
+//!   timestamped events,
 //! * [`SimRng`] — a reproducible, platform-independent PRNG plus the
 //!   distributions the workload generators need (uniform, [`Zipf`]),
 //! * [`stats`] — streaming statistics (mean/variance, log-bucketed latency
 //!   histograms with quantiles, time-series samplers) used by the
-//!   experimental suite.
+//!   experimental suite,
+//! * [`obs`] — lifecycle spans, stage-attributed latency and timelines:
+//!   the simulator's trace of how every IO was handled.
 //!
 //! Determinism is a design goal: two simulations built from the same
 //! configuration and seed produce byte-identical results. The event queue
@@ -24,20 +27,17 @@
 #![forbid(unsafe_code)]
 
 pub mod blkio;
-pub mod calendar;
 pub mod event;
 pub mod obs;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use blkio::{BlkOp, BlkRecord};
-pub use event::{global_events_popped, thread_events_popped, EventQueue, QueueKind, ScheduledEvent};
+pub use event::{thread_events_popped, EventQueue, ScheduledEvent};
 pub use obs::{
     Cause, Obs, ObsConfig, Span, Stage, StageBreakdown, StageNs, Timeline, NO_SPAN,
 };
 pub use rng::{SimRng, Zipf};
 pub use stats::{Histogram, OnlineStats, Tail, TimeSeries};
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceEvent, TraceKind, TraceLog};

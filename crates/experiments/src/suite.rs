@@ -8,7 +8,7 @@ use eagletree_controller::{
     Controller, ControllerConfig, IoTags, MappingKind, MergePolicy, RecoveryMode, RequestKind,
     SchedPolicy, ScrubConfig, SsdRequest, TemperatureMode, WriteAllocPolicy,
 };
-use eagletree_core::{QueueKind, SimDuration, SimRng, SimTime};
+use eagletree_core::{SimDuration, SimRng, SimTime};
 use eagletree_flash::{FaultConfig, Geometry, TimingSpec};
 use eagletree_os::{Os, OsSchedPolicy, QosPolicy, Workload};
 use eagletree_workloads::{
@@ -833,19 +833,17 @@ fn e17_log_budget(scale: Scale) -> Table {
 
 /// How fast does the *simulator* run? Host wall-seconds and simulation
 /// events per host second for a GC-heavy random overwrite, swept over
-/// device geometry × OS queue depth × event-queue backend. This is the
-/// meta-experiment behind every other one: the design-space sweeps the
-/// paper calls for are affordable exactly in proportion to these numbers.
+/// device geometry × OS queue depth. This is the meta-experiment behind
+/// every other one: the design-space sweeps the paper calls for are
+/// affordable exactly in proportion to these numbers.
 /// Queue depth stresses the controller's dispatch path (pending-op
-/// selection), the overwrite phase stresses GC victim selection, and the
-/// backend axis pits the calendar agenda against the binary-heap oracle
-/// (identical results, different host speed — `queue_ops` counts the
-/// schedules + pops the engine performed).
+/// selection) and the overwrite phase stresses GC victim selection;
+/// `queue_ops` counts the schedules + pops the event engine performed.
 fn e18_sim_throughput(scale: Scale) -> Table {
     let mut t = Table::new(
         "E18",
-        "Host events/sec for GC-heavy overwrite vs geometry × queue depth × queue backend",
-        "geometry/qd/queue",
+        "Host events/sec for GC-heavy overwrite vs geometry × queue depth",
+        "geometry/qd",
     );
     let geoms: Vec<(&str, Geometry)> = vec![
         (
@@ -874,49 +872,45 @@ fn e18_sim_throughput(scale: Scale) -> Table {
     let qds: Vec<usize> = vec![1, 64, 512];
     for (gname, g) in scale.thin(&geoms) {
         for qd in scale.thin(&qds) {
-            for kind in [QueueKind::Calendar, QueueKind::Heap] {
-                let mut setup = Setup::small();
-                setup.geometry = g;
-                setup.os.queue_depth = qd;
-                setup.os.queue = kind;
-                setup.ctrl.queue = kind;
-                setup.ctrl.wl.static_enabled = false;
-                let logical = setup.logical_pages();
-                // Enough overwrite to reach GC steady state even at smoke
-                // scale (the fill leaves only the over-provisioning
-                // headroom free).
-                let ios = scale.ios(logical * 4);
-                let mut os = setup.build();
-                os.add_thread(sequential_fill(32));
-                os.run();
-                let tid = os.add_thread(Box::new(
-                    Pumped::new(RandWriteGen::new(Region::whole(), ios), qd.max(1) as u64, 0xE18)
-                        .named("overwriter"),
-                ));
-                let base = snapshot(&os);
-                let events_before = os.events_simulated();
-                let queue_ops_before = os.queue_ops();
-                #[allow(clippy::disallowed_methods)]
-                // lint:allow(R2) E18 measures host events/sec — wall-clock throughput of the simulator itself is the experiment's result column, never simulation state
-                let started = std::time::Instant::now();
-                os.run();
-                let wall_s = started.elapsed().as_secs_f64();
-                let events = os.events_simulated() - events_before;
-                let queue_ops = os.queue_ops() - queue_ops_before;
-                let m = measure_since(&os, &[tid], &base);
-                t.rows.push(
-                    Row::new(format!("{gname}/qd{qd}/{kind}"))
-                        .push("wall_ms", wall_s * 1000.0)
-                        .push("events", events as f64)
-                        .push(
-                            "events_per_sec",
-                            if wall_s > 0.0 { events as f64 / wall_s } else { 0.0 },
-                        )
-                        .push("queue_ops", queue_ops as f64)
-                        .push("iops", m.iops)
-                        .push("WA", m.write_amplification),
-                );
-            }
+            let mut setup = Setup::small();
+            setup.geometry = g;
+            setup.os.queue_depth = qd;
+            setup.ctrl.wl.static_enabled = false;
+            let logical = setup.logical_pages();
+            // Enough overwrite to reach GC steady state even at smoke
+            // scale (the fill leaves only the over-provisioning
+            // headroom free).
+            let ios = scale.ios(logical * 4);
+            let mut os = setup.build();
+            os.add_thread(sequential_fill(32));
+            os.run();
+            let tid = os.add_thread(Box::new(
+                Pumped::new(RandWriteGen::new(Region::whole(), ios), qd.max(1) as u64, 0xE18)
+                    .named("overwriter"),
+            ));
+            let base = snapshot(&os);
+            let events_before = os.events_simulated();
+            let queue_ops_before = os.queue_ops();
+            #[allow(clippy::disallowed_methods)]
+            // lint:allow(R2) E18 measures host events/sec — wall-clock throughput of the simulator itself is the experiment's result column, never simulation state
+            let started = std::time::Instant::now();
+            os.run();
+            let wall_s = started.elapsed().as_secs_f64();
+            let events = os.events_simulated() - events_before;
+            let queue_ops = os.queue_ops() - queue_ops_before;
+            let m = measure_since(&os, &[tid], &base);
+            t.rows.push(
+                Row::new(format!("{gname}/qd{qd}"))
+                    .push("wall_ms", wall_s * 1000.0)
+                    .push("events", events as f64)
+                    .push(
+                        "events_per_sec",
+                        if wall_s > 0.0 { events as f64 / wall_s } else { 0.0 },
+                    )
+                    .push("queue_ops", queue_ops as f64)
+                    .push("iops", m.iops)
+                    .push("WA", m.write_amplification),
+            );
         }
     }
     t
@@ -2245,26 +2239,17 @@ mod tests {
     #[test]
     fn smoke_e18_reports_simulator_throughput() {
         let t = e18_sim_throughput(Scale::Smoke);
-        // Smoke thins to first/last of each axis: 2 geometries × 2 qds,
-        // each under both queue backends.
-        assert_eq!(t.rows.len(), 8);
+        // Smoke thins to first/last of each axis: 2 geometries × 2 qds.
+        let labels: Vec<&str> = t.rows.iter().map(|r| r.label.as_str()).collect();
+        assert_eq!(
+            labels,
+            ["2x2x64x32/qd1", "2x2x64x32/qd512", "4x4x128x64/qd1", "4x4x128x64/qd512"]
+        );
         for r in &t.rows {
             assert!(r.get("events").unwrap() > 0.0, "no events simulated: {t}", t = t.render());
             assert!(r.get("events_per_sec").unwrap() > 0.0);
             assert!(r.get("queue_ops").unwrap() > 0.0);
             assert!(r.get("WA").unwrap() >= 1.0, "overwrite phase must hit flash");
-        }
-        // Backend pairs must simulate the identical workload: same event
-        // count, same queue ops, same WA — only wall time may differ.
-        for pair in t.rows.chunks(2) {
-            for col in ["events", "queue_ops", "iops", "WA"] {
-                assert_eq!(
-                    pair[0].get(col),
-                    pair[1].get(col),
-                    "calendar/heap rows diverged on {col}: {t}",
-                    t = t.render()
-                );
-            }
         }
         // The GC-heavy phase must actually trigger GC at the small geometry.
         assert!(

@@ -23,8 +23,8 @@ use eagletree_controller::{
     SsdRequest,
 };
 use eagletree_core::{
-    EventQueue, Histogram, Obs, OnlineStats, QueueKind, SimDuration, SimTime, TimeSeries,
-    Timeline, NO_SPAN,
+    EventQueue, Histogram, Obs, OnlineStats, SimDuration, SimTime, TimeSeries, Timeline,
+    NO_SPAN,
 };
 
 use crate::qos::{self, QosPolicy, QosSlot, TenantCand};
@@ -49,10 +49,6 @@ pub struct OsConfig {
     /// (`None` disables). Feeds the "metric vs. virtual time" plots of the
     /// experimental suite (§2.3).
     pub timeline_interval: Option<SimDuration>,
-    /// Event-queue backend for the OS timer queue. Results are
-    /// byte-identical across backends; see `ControllerConfig::queue` for
-    /// the controller-agenda counterpart.
-    pub queue: QueueKind,
 }
 
 impl Default for OsConfig {
@@ -63,7 +59,6 @@ impl Default for OsConfig {
             qos: QosPolicy::None,
             open_interface: false,
             timeline_interval: None,
-            queue: QueueKind::default(),
         }
     }
 }
@@ -184,9 +179,6 @@ pub struct Os {
     vclock: f64,
     inflight: BTreeMap<RequestId, Inflight>,
     timers: EventQueue<ThreadId>,
-    /// Largest timer delay seen so far: the timer queue's wake-source
-    /// horizon. Growth re-tunes the calendar backend's bucket width.
-    timer_horizon: SimDuration,
     now: SimTime,
     next_req_id: RequestId,
     next_seq: u64,
@@ -239,7 +231,6 @@ impl Os {
     /// An OS over a controller.
     pub fn new(ctrl: Controller, cfg: OsConfig) -> Self {
         assert!(cfg.queue_depth > 0, "queue depth must be positive");
-        let timers = EventQueue::with_kind(cfg.queue);
         let obs_cfg = ctrl.obs_config();
         let timeline = obs_cfg.timeline_enabled().then(|| {
             Timeline::new(
@@ -257,8 +248,7 @@ impl Os {
             ns_watermark: 0,
             vclock: 0.0,
             inflight: BTreeMap::new(),
-            timers,
-            timer_horizon: SimDuration::ZERO,
+            timers: EventQueue::new(),
             now: SimTime::ZERO,
             next_req_id: 0,
             next_seq: 0,
@@ -455,24 +445,6 @@ impl Os {
     /// metric reported by the E18 throughput sweep.
     pub fn queue_ops(&self) -> u64 {
         self.ctrl.queue_ops() + self.timers.scheduled() + self.timers.popped()
-    }
-
-    /// The event-queue backend the simulation runs on (OS timer queue;
-    /// the controller agenda is configured independently but experiments
-    /// set both together).
-    pub fn queue_kind(&self) -> QueueKind {
-        self.timers.kind()
-    }
-
-    /// Declare the largest expected gap between now and future wake-ups
-    /// (timers and controller agenda). Behavior-neutral calendar tuning
-    /// for workloads with known long idle phases.
-    pub fn hint_horizon(&mut self, horizon: SimDuration) {
-        if horizon > self.timer_horizon {
-            self.timer_horizon = horizon;
-            self.timers.hint_horizon(horizon);
-        }
-        self.ctrl.hint_horizon(horizon);
     }
 
     /// Statistics of one thread.
@@ -962,13 +934,6 @@ impl Os {
             }
         }
         for d in timer_delays {
-            // A longer delay than any seen widens this wake source's
-            // horizon: tell the calendar so its bucket width follows
-            // (behavior-neutral; order is unaffected).
-            if d > self.timer_horizon {
-                self.timer_horizon = d;
-                self.timers.hint_horizon(d);
-            }
             self.timers.schedule(self.now + d, tid);
         }
         let newly_finished = finished && !self.threads[tid].finished;

@@ -67,6 +67,14 @@ impl<S: TraceSource + ?Sized> TraceSource for Box<S> {
     }
 }
 
+/// An in-memory trace: `records.into_iter()` replays a fixed record list
+/// (tests and pinned regression sequences; not a streaming source).
+impl TraceSource for std::vec::IntoIter<BlkRecord> {
+    fn next_record(&mut self) -> Option<BlkRecord> {
+        self.next()
+    }
+}
+
 /// Base of the Windows-filetime timestamps emitted by [`to_msr_csv_line`]
 /// (an arbitrary instant in 2007, like the real MSR-Cambridge captures).
 const MSR_EPOCH_TICKS: u64 = 128_166_372_000_000_000;

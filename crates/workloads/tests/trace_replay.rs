@@ -8,12 +8,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use eagletree_controller::{Controller, ControllerConfig};
-use eagletree_core::{BlkOp, BlkRecord, QueueKind, SimDuration};
+use eagletree_core::{BlkOp, BlkRecord, SimDuration, SimTime};
 use eagletree_flash::{Geometry, TimingSpec};
-use eagletree_os::{CompletedIo, Os, OsConfig, OsIo, ThreadCtx, Workload};
+use eagletree_os::{CompletedIo, Os, OsConfig, ThreadCtx, Workload};
 use eagletree_workloads::{
     characterize, to_msr_csv_line, ChunkedSource, MsrCsvSource, Remap, ReplayThread, SynthCsv,
-    SynthShape, SyntheticTrace, TraceEntry, TraceSource, TraceThread,
+    SynthShape, SyntheticTrace, TraceSource,
 };
 
 use proptest::prelude::*;
@@ -105,23 +105,23 @@ fn streaming_a_million_records_stays_chunk_bounded() {
 // ---------------------------------------------------------------------
 // replay determinism
 
-fn stack(queue: QueueKind) -> Os {
-    let ctrl_cfg = ControllerConfig {
-        queue,
-        ..ControllerConfig::default()
-    };
-    let ctrl = Controller::new(Geometry::tiny(), TimingSpec::slc(), ctrl_cfg).unwrap();
+fn stack() -> Os {
+    let ctrl = Controller::new(
+        Geometry::tiny(),
+        TimingSpec::slc(),
+        ControllerConfig::default(),
+    )
+    .unwrap();
     let os_cfg = OsConfig {
-        queue,
         queue_depth: 16,
         ..OsConfig::default()
     };
     Os::new(ctrl, os_cfg)
 }
 
-fn replay_fingerprint(queue: QueueKind, open_loop: bool) -> String {
+fn replay_fingerprint(open_loop: bool) -> String {
     use std::fmt::Write;
-    let mut os = stack(queue);
+    let mut os = stack();
     let shape = SynthShape {
         footprint_pages: 600,
         read_fraction: 0.5,
@@ -163,28 +163,22 @@ fn replay_fingerprint(queue: QueueKind, open_loop: bool) -> String {
 }
 
 /// Fixed-seed open-loop replay produces byte-identical fingerprints across
-/// repeated runs AND across both event-queue backends — replay rides the
-/// OS timer machinery, so this pins the timer path too.
+/// repeated runs — replay rides the OS timer machinery, so this pins the
+/// timer path too.
 #[test]
-fn open_loop_replay_is_deterministic_across_queue_kinds() {
-    let heap_a = replay_fingerprint(QueueKind::Heap, true);
-    let heap_b = replay_fingerprint(QueueKind::Heap, true);
-    let cal_a = replay_fingerprint(QueueKind::Calendar, true);
-    let cal_b = replay_fingerprint(QueueKind::Calendar, true);
-    assert_eq!(heap_a, heap_b, "open-loop replay drifted between runs");
-    assert_eq!(cal_a, cal_b, "open-loop replay drifted between runs");
-    assert_eq!(heap_a, cal_a, "calendar backend diverged from heap");
-    assert!(heap_a.contains("events="));
+fn open_loop_replay_is_deterministic() {
+    let a = replay_fingerprint(true);
+    let b = replay_fingerprint(true);
+    assert_eq!(a, b, "open-loop replay drifted between runs");
+    assert!(a.contains("events="));
 }
 
 /// Same pin for the closed-loop mode (timer-paced think times).
 #[test]
-fn closed_loop_replay_is_deterministic_across_queue_kinds() {
-    let heap_a = replay_fingerprint(QueueKind::Heap, false);
-    let heap_b = replay_fingerprint(QueueKind::Heap, false);
-    let cal_a = replay_fingerprint(QueueKind::Calendar, false);
-    assert_eq!(heap_a, heap_b, "closed-loop replay drifted between runs");
-    assert_eq!(heap_a, cal_a, "calendar backend diverged from heap");
+fn closed_loop_replay_is_deterministic() {
+    let a = replay_fingerprint(false);
+    let b = replay_fingerprint(false);
+    assert_eq!(a, b, "closed-loop replay drifted between runs");
 }
 
 /// Closed-loop replay must preserve recorded think times: with warp 1 the
@@ -204,7 +198,7 @@ fn closed_loop_preserves_think_times_and_warp_compresses() {
         interarrival_cv: 0.0, // evenly spaced: every gap is exactly `gap`
     };
     let run = |open_loop: bool, warp: f64| {
-        let mut os = stack(QueueKind::Heap);
+        let mut os = stack();
         let src = SyntheticTrace::new(shape.clone(), records, 0x7A);
         let w = if open_loop {
             ReplayThread::open_loop(src, warp)
@@ -235,18 +229,19 @@ fn closed_loop_preserves_think_times_and_warp_compresses() {
 // ---------------------------------------------------------------------
 // the on_timer regression (stray timer after trace exhaustion)
 
-/// Wraps a [`TraceThread`] and registers one extra short timer in `init` —
-/// the shape of any composite workload that mixes its own timers with the
-/// replayer's. The stray timer fires after the (zero-think-time) trace has
-/// already submitted its last entry.
-struct ExtraTimer {
-    inner: TraceThread,
+/// Wraps a replayer and registers one extra timer in `init` — the shape
+/// of any composite workload that mixes its own timers with the
+/// replayer's. The stray timer fires `delay` after start, which can be
+/// after the (zero-think-time) trace has been drained and completed.
+struct ExtraTimer<W> {
+    inner: W,
+    delay: SimDuration,
 }
 
-impl Workload for ExtraTimer {
+impl<W: Workload> Workload for ExtraTimer<W> {
     fn init(&mut self, ctx: &mut ThreadCtx) {
         self.inner.init(ctx);
-        ctx.set_timer(SimDuration::from_nanos(1));
+        ctx.set_timer(self.delay);
     }
 
     fn call_back(&mut self, ctx: &mut ThreadCtx, done: CompletedIo) {
@@ -262,19 +257,34 @@ impl Workload for ExtraTimer {
     }
 }
 
-/// Regression: a timer that fires after the entry list is exhausted used
-/// to index `entries[next]` out of bounds and panic the simulation; it
-/// must finish the thread instead.
+/// Regression: a timer that fires after the trace is exhausted must
+/// leave the thread finished, never panic the simulation — whether it
+/// lands while the last IO is in flight or after the source drained.
 #[test]
 fn stray_timer_after_trace_exhaustion_finishes_instead_of_panicking() {
-    let mut os = stack(QueueKind::Heap);
-    let entries = vec![TraceEntry::immediate(OsIo::write(3))];
-    let tid = os.add_thread(Box::new(ExtraTimer {
-        inner: TraceThread::new(entries),
-    }));
-    os.run();
-    assert!(os.thread_finished(tid));
-    assert_eq!(os.thread_stats(tid).writes_completed, 1);
+    let late = SimDuration::from_micros(10_000);
+    for delay in [SimDuration::from_nanos(1), late] {
+        for open_loop in [false, true] {
+            let mut os = stack();
+            let records = vec![BlkRecord::new(SimTime::ZERO, BlkOp::Write, 3)].into_iter();
+            let inner = if open_loop {
+                ReplayThread::open_loop(records, 1.0)
+            } else {
+                ReplayThread::closed_loop(records, 1.0)
+            };
+            let tid = os.add_thread(Box::new(ExtraTimer { inner, delay }));
+            os.run();
+            assert!(
+                os.thread_finished(tid),
+                "delay {delay:?} open_loop {open_loop}"
+            );
+            assert_eq!(os.thread_stats(tid).writes_completed, 1);
+            if delay == late {
+                // The stray timer really fired after the write completed.
+                assert!(os.now() >= SimTime::ZERO + late);
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -69,7 +69,9 @@ pub mod prelude {
         ControllerConfig, GcConfig, IoTags, MappingKind, RequestKind, SchedPolicy,
         TemperatureMode, Temperature, VictimPolicy, WlConfig, WriteAllocPolicy,
     };
-    pub use eagletree_core::{Cause, ObsConfig, SimDuration, SimRng, SimTime, Stage, Zipf};
+    pub use eagletree_core::{
+        BlkOp, BlkRecord, Cause, ObsConfig, SimDuration, SimRng, SimTime, Stage, Zipf,
+    };
     pub use eagletree_experiments::{
         downsample, measure, measure_since, snapshot, sparkline, Scale, Setup, Table,
     };
@@ -80,7 +82,7 @@ pub mod prelude {
     };
     pub use eagletree_workloads::{
         precondition, FileSystemThread, GraceHashJoin, LsmTreeThread, MixedGen, Pumped,
-        RandReadGen, RandWriteGen, Region, SeqReadGen, SeqWriteGen, TenantProfile, TraceEntry,
-        TraceThread, ZipfGen, ZipfKind,
+        RandReadGen, RandWriteGen, Region, ReplayThread, SeqReadGen, SeqWriteGen, TenantProfile,
+        ZipfGen, ZipfKind,
     };
 }

@@ -177,13 +177,16 @@ fn grace_join_completes_both_phases() {
 #[test]
 fn trace_replay_is_exact_and_serial() {
     let mut os = small_setup().build();
+    // Closed loop: each record waits for the previous one's completion
+    // plus its recorded gap (500 µs before the second write, none else).
+    let think = SimTime::from_nanos(500_000);
     let trace = vec![
-        TraceEntry::immediate(OsIo::write(1)),
-        TraceEntry::after(SimDuration::from_micros(500), OsIo::write(2)),
-        TraceEntry::immediate(OsIo::read(1)),
-        TraceEntry::immediate(OsIo::trim(1)),
+        BlkRecord::new(SimTime::ZERO, BlkOp::Write, 1),
+        BlkRecord::new(think, BlkOp::Write, 2),
+        BlkRecord::new(think, BlkOp::Read, 1),
+        BlkRecord::new(think, BlkOp::Trim, 1),
     ];
-    let t = os.add_thread(Box::new(TraceThread::new(trace)));
+    let t = os.add_thread(Box::new(ReplayThread::closed_loop(trace.into_iter(), 1.0)));
     os.run();
     let s = os.thread_stats(t);
     assert_eq!(s.writes_completed, 2);
