@@ -153,6 +153,56 @@ fn bench_dispatch_qd(c: &mut Criterion) {
     }
 }
 
+/// Dispatch under GC at queue depth 512: a 2×2 device filled
+/// sequentially, then overwritten at random with 512 writes outstanding,
+/// so GC moves and erases pile up behind busy LUNs. They wait in per-LUN
+/// resource lanes; when they sat on the scan queue instead, every
+/// scheduling round walked all of them.
+fn bench_dispatch_gc_overwrite(c: &mut Criterion) {
+    c.bench_function("dispatch_gc_overwrite_qd512", |b| {
+        b.iter(|| {
+            let geometry = Geometry {
+                channels: 2,
+                luns_per_channel: 2,
+                planes_per_lun: 1,
+                blocks_per_plane: 64,
+                pages_per_block: 32,
+                page_size: 4096,
+            };
+            let mut ctrl =
+                Controller::new(geometry, TimingSpec::slc(), ControllerConfig::default()).unwrap();
+            let logical = ctrl.logical_pages();
+            let mut rng = SimRng::new(0x6C58);
+            let mut now = SimTime::ZERO;
+            let mut done = 0u64;
+            for id in 0..logical * 2 {
+                let lpn = if id < logical {
+                    id
+                } else {
+                    rng.gen_range(logical)
+                };
+                ctrl.submit(
+                    SsdRequest {
+                        id,
+                        kind: RequestKind::Write,
+                        lpn,
+                        tags: IoTags::none(),
+                    },
+                    now,
+                );
+                while id + 1 - done >= 512 {
+                    now = ctrl.next_event_time().expect("writes outstanding");
+                    done += ctrl.advance(now).len() as u64;
+                }
+            }
+            while let Some(t) = ctrl.next_event_time() {
+                ctrl.advance(t);
+            }
+            black_box(ctrl.stats().gc_moves)
+        })
+    });
+}
+
 /// GC-trigger-heavy steady state: fill the device, then overwrite so every
 /// few writes force victim selection. Exercises the incremental victim
 /// index rather than the dispatch loop (qd stays modest).
@@ -221,6 +271,7 @@ criterion_group!(
     bench_flash_issue,
     bench_full_sim,
     bench_dispatch_qd,
+    bench_dispatch_gc_overwrite,
     bench_gc_steady_state
 );
 criterion_main!(benches);

@@ -48,6 +48,37 @@ type SchedKey = (OpClass, Option<u8>, SimTime, u64);
 /// stream shares one probe per round instead of re-scanning all LUNs.
 type WriteMemo = Vec<((Option<u32>, Stream), bool)>;
 
+/// Lane-key tag of a resource lane (GC moves and erases, keyed by their
+/// linear LUN). Write-lane keys stay below it: their `(LUN, stream)`
+/// encoding uses bits 0..63 only.
+const RESOURCE_LANE: u64 = 1 << 63;
+
+/// Pending-set depth up to which debug builds check every dispatch round
+/// against the full-scan oracle (see `Controller::first_issuable`).
+#[cfg(debug_assertions)]
+const ORACLE_DEPTH: u64 = 64;
+
+/// Host-side work of the controller's dispatch loop: scheduling rounds
+/// and the issuability probes they make. Deterministic, but it measures
+/// the simulator rather than the simulated device, so it stays out of
+/// [`CtrlStats`] and every fingerprint.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DispatchProbes {
+    /// Scheduling rounds (`run_sched` calls).
+    pub rounds: u64,
+    /// Issuability probes of ops on an order-scan queue.
+    pub scan: u64,
+    /// Issuability probes of lane heads.
+    pub lane: u64,
+}
+
+impl DispatchProbes {
+    /// All issuability probes.
+    pub fn total(&self) -> u64 {
+        self.scan + self.lane
+    }
+}
+
 /// What a physical page holds (the controller's reverse map).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PageContent {
@@ -359,6 +390,16 @@ pub struct Controller {
     /// `(time, seq)` order.
     events: EventQueue<CtrlEvent>,
     pending: PendingSet<PendingOp>,
+    /// Pending GC moves by source page (ppn → slot) while they wait on a
+    /// resource lane, so superseding the page can re-thread the move onto
+    /// its scan queue (see [`Self::invalidate_ppn`]).
+    pending_moves: BTreeMap<Ppn, u32>,
+    /// Dispatch work so far (see [`Controller::dispatch_probes`]).
+    probes: DispatchProbes,
+    /// Dispatch by the full-scan rule instead of lanes: the oracle the
+    /// unit tests compare whole runs against.
+    #[cfg(test)]
+    full_scan_dispatch: bool,
     /// Reusable scratch for one scheduling round's head candidates
     /// (`(key, slot)`), keys-only view, write memo and hybrid-write scan —
     /// kept on the controller so steady-state dispatch never allocates.
@@ -502,6 +543,10 @@ impl Controller {
             mem,
             events: EventQueue::new(),
             pending: PendingSet::new(),
+            pending_moves: BTreeMap::new(),
+            probes: DispatchProbes::default(),
+            #[cfg(test)]
+            full_scan_dispatch: false,
             sched_cand: Vec::new(),
             sched_keys: Vec::new(),
             write_memo: Vec::new(),
@@ -588,6 +633,12 @@ impl Controller {
     /// Controller counters.
     pub fn stats(&self) -> &CtrlStats {
         &self.stats
+    }
+
+    /// Dispatch work done so far: scheduling rounds and issuability
+    /// probes (cumulative since construction or remount).
+    pub fn dispatch_probes(&self) -> DispatchProbes {
+        self.probes
     }
 
     /// Internal agenda events processed so far (completions + wake-ups).
@@ -1060,9 +1111,10 @@ impl Controller {
             PendKind::Transfer { .. } => QueueKey::Transfer,
             _ => QueueKey::Class(class, tag),
         };
-        self.pending.insert(
+        let lane = self.lane_key(&kind);
+        let slot = self.pending.insert(
             key,
-            Self::write_lane(&kind),
+            lane,
             PendingOp {
                 seq,
                 class,
@@ -1072,6 +1124,10 @@ impl Controller {
                 span,
             },
         );
+        if let (PendKind::GcMove { from, .. }, Some(_)) = (kind, lane) {
+            self.pending_moves
+                .insert(self.array.geometry().page_index(from), slot);
+        }
     }
 
     /// The application request a pending op serves directly, if any —
@@ -1155,12 +1211,21 @@ impl Controller {
         }
     }
 
-    /// Write-lane key for ops whose issuability is a pure function of
-    /// `(LUN, stream)` — the contract a `PendingSet` lane requires (the
-    /// lane head's verdict then covers the whole lane). Everything else
-    /// goes to the group's order-scan queue.
-    fn write_lane(kind: &PendKind) -> LaneKey {
-        match kind {
+    /// Lane key for ops whose issuability is a pure function of one
+    /// resource — the contract a `PendingSet` lane requires (the lane
+    /// head's verdict then covers the whole lane):
+    ///
+    /// * writes: `(LUN, stream)`;
+    /// * GC moves and erases: their LUN. Both need an idle LUN and a free
+    ///   channel (`can_issue` treats a read start like an erase). A move
+    ///   whose source is already superseded is issuable anywhere, so it
+    ///   goes to the scan queue instead — as does a laned move superseded
+    ///   later ([`Self::invalidate_ppn`]).
+    ///
+    /// Everything else goes to the group's order-scan queue.
+    fn lane_key(&self, kind: &PendKind) -> LaneKey {
+        let g = self.array.geometry();
+        let lun = match kind {
             PendKind::Write { lun, stream, .. } => {
                 let s = match stream {
                     Stream::Hot => 0u64,
@@ -1169,10 +1234,19 @@ impl Controller {
                     Stream::Translation => 3,
                     Stream::Locality(g) => 4 + u64::from(*g),
                 };
-                Some((lun.map_or(0, |l| u64::from(l) + 1) << 40) | s)
+                return Some((lun.map_or(0, |l| u64::from(l) + 1) << 40) | s);
             }
-            _ => None,
-        }
+            PendKind::GcMove { from, .. }
+                if self.reverse[g.page_index(*from) as usize].is_some() =>
+            {
+                g.lun_index(from.channel, from.lun)
+            }
+            PendKind::Erase { block, .. }
+            | PendKind::MergeErase { block, .. }
+            | PendKind::CkptErase { block } => g.lun_index(block.channel, block.lun),
+            _ => return None,
+        };
+        Some(RESOURCE_LANE | u64::from(lun))
     }
 
     /// Issue a flash command whose resources the scheduler verified free,
@@ -1243,10 +1317,16 @@ impl Controller {
         self.completions.push(Completion { id, at: now });
     }
 
+    /// The one place a page that may still have a pending GC move is
+    /// superseded: such a move no longer waits on its LUN, so it leaves
+    /// its resource lane for the scan queue, in seq order.
     fn invalidate_ppn(&mut self, ppn: Ppn) {
         let addr = self.array.geometry().page_at(ppn);
         self.array.invalidate(addr);
         self.reverse[ppn as usize] = None;
+        if let Some(slot) = self.pending_moves.remove(&ppn) {
+            self.pending.move_to_scan(slot, |op| op.seq);
+        }
     }
 
     // ----- OOB stamping (the durable half of the mapping) -----------------
@@ -2144,12 +2224,19 @@ impl Controller {
         // tag) groups — not the number of pending ops — and the reused
         // scratch buffers keep the loop allocation-free.
         let mut memo = std::mem::take(&mut self.write_memo);
+        let mut probes = self.probes;
+        probes.rounds += 1;
         loop {
             memo.clear();
             // Hardware necessity: pending transfers hold LUN registers
             // hostage, so they always go first (from their own group —
             // no scan over non-transfer ops).
-            let t = self.first_issuable(PendingSet::<PendingOp>::TRANSFER_GROUP, now, &mut memo);
+            let t = self.first_issuable(
+                PendingSet::<PendingOp>::TRANSFER_GROUP,
+                now,
+                &mut memo,
+                &mut probes,
+            );
             if t != NO_SLOT {
                 self.issue(t, now);
                 continue;
@@ -2157,7 +2244,7 @@ impl Controller {
             let mut cand = std::mem::take(&mut self.sched_cand);
             cand.clear();
             for q in 1..self.pending.group_count() {
-                let slot = self.first_issuable(q, now, &mut memo);
+                let slot = self.first_issuable(q, now, &mut memo, &mut probes);
                 if slot != NO_SLOT {
                     let op = self.pending.get(slot);
                     cand.push(((op.class, op.tag, op.enqueued_at, op.seq), slot));
@@ -2192,23 +2279,35 @@ impl Controller {
             self.issue(slot, now);
         }
         self.write_memo = memo;
+        self.probes = probes;
     }
 
     /// First op in `group` that could issue right now, or `NO_SLOT`.
     ///
-    /// The group's order-scan queue is probed in FIFO order; each write
-    /// lane contributes only its head (a blocked head proves the lane
-    /// blocked — all its ops share one issuability predicate). The
-    /// min-seq winner is exactly the op a single merged FIFO would have
-    /// yielded: a lane head has the smallest seq of its key, and any
-    /// issuable lane op implies its head (same predicate, smaller seq)
-    /// is issuable too.
-    fn first_issuable(&self, group: u32, now: SimTime, memo: &mut WriteMemo) -> u32 {
+    /// The group's order-scan queue is probed in seq order; each lane
+    /// contributes only its head (a blocked head proves the lane blocked
+    /// — all its ops share one issuability predicate). The min-seq winner
+    /// is exactly the op a single merged FIFO would have yielded: a lane
+    /// head has the smallest seq of its key, and any issuable lane op
+    /// implies its head (same predicate, smaller seq) is issuable too.
+    /// Debug builds check that against the full-scan rule.
+    fn first_issuable(
+        &self,
+        group: u32,
+        now: SimTime,
+        memo: &mut WriteMemo,
+        probes: &mut DispatchProbes,
+    ) -> u32 {
+        #[cfg(test)]
+        if self.full_scan_dispatch {
+            return self.first_issuable_full_scan(group, now, memo);
+        }
         let mut best = NO_SLOT;
         let mut best_seq = u64::MAX;
         let mut cur = self.pending.scan_head(group);
         while cur != NO_SLOT {
             let op = self.pending.get(cur);
+            probes.scan += 1;
             if self.op_issuable(op, now, memo) {
                 best = cur;
                 best_seq = op.seq;
@@ -2222,18 +2321,54 @@ impl Controller {
                 continue;
             }
             let op = self.pending.get(head);
-            if op.seq < best_seq && self.op_issuable(op, now, memo) {
-                best = head;
-                best_seq = op.seq;
+            if op.seq < best_seq {
+                probes.lane += 1;
+                if self.op_issuable(op, now, memo) {
+                    best = head;
+                    best_seq = op.seq;
+                }
             }
         }
+        // The full scan costs O(pending) per call, so deep queues check a
+        // deterministic subset: every round up to `ORACLE_DEPTH` pending
+        // ops, every `1 + len / ORACLE_DEPTH`-th round beyond.
+        #[cfg(debug_assertions)]
+        if probes
+            .rounds
+            .is_multiple_of(1 + self.pending.len() as u64 / ORACLE_DEPTH)
+        {
+            assert_eq!(
+                best,
+                self.first_issuable_full_scan(group, now, memo),
+                "lanes disagree with the full scan of group {group}"
+            );
+        }
         best
+    }
+
+    /// The pre-lane dispatch rule, as an oracle for [`Self::first_issuable`]:
+    /// the min-seq op of `group` that `op_issuable` accepts, over every op
+    /// in the group regardless of queue or lane.
+    #[cfg(any(test, debug_assertions))]
+    fn first_issuable_full_scan(&self, group: u32, now: SimTime, memo: &mut WriteMemo) -> u32 {
+        let mut best = (u64::MAX, NO_SLOT);
+        for slot in self.pending.group_slots(group) {
+            let op = self.pending.get(slot);
+            if op.seq < best.0 && self.op_issuable(op, now, memo) {
+                best = (op.seq, slot);
+            }
+        }
+        best.1
     }
 
     /// Issue (or consume) the pending op in `slot`. Caller guarantees
     /// issuability.
     fn issue(&mut self, slot: u32, now: SimTime) {
         let op = self.pending.remove(slot);
+        if let PendKind::GcMove { from, .. } = op.kind {
+            self.pending_moves
+                .remove(&self.array.geometry().page_index(from));
+        }
         self.obs_cur = ObsCur {
             span: op.span,
             host: Self::pend_request(&op.kind).is_some(),
@@ -3196,6 +3331,10 @@ impl Controller {
             mem,
             events: EventQueue::new(),
             pending: PendingSet::new(),
+            pending_moves: BTreeMap::new(),
+            probes: DispatchProbes::default(),
+            #[cfg(test)]
+            full_scan_dispatch: false,
             sched_cand: Vec::new(),
             sched_keys: Vec::new(),
             write_memo: Vec::new(),
@@ -3329,3 +3468,6 @@ impl Controller {
         }
     }
 }
+
+#[cfg(test)]
+mod tests;

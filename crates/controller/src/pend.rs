@@ -10,13 +10,23 @@
 //! * the group's **scan queue** holds ops whose issuability is op-specific
 //!   (reads resolve their target at probe time, hybrid appends depend on
 //!   log-block state); finding its first issuable op probes the blocked
-//!   prefix in FIFO order, O(position of the first issuable op);
-//! * **write lanes** hold page writes, one lane per `(LUN, stream)` key.
-//!   Every op in a lane shares one issuability predicate, so the lane
-//!   *head* decides for the whole lane: a blocked head proves the entire
-//!   lane blocked, and one probe replaces an O(lane length) walk. This is
-//!   what keeps deep write backlogs (queue depth 512 and beyond) out of
-//!   the scheduler's inner loop.
+//!   prefix in seq order, O(position of the first issuable op);
+//! * **lanes** hold ops whose issuability is a pure function of one lane
+//!   key: page writes per `(LUN, stream)` (*write lanes*), and GC/WL page
+//!   moves and erases per LUN (*resource lanes*: a move's source read and
+//!   an erase need the same idle LUN and free channel). Every op in a
+//!   lane shares one issuability predicate, so the lane *head* decides
+//!   for the whole lane: a blocked head proves the entire lane blocked,
+//!   and one probe replaces an O(lane length) walk. This is what keeps
+//!   deep write backlogs and GC victims' move batches (queue depth 512
+//!   and beyond) out of the scheduler's inner loop.
+//!
+//! An op whose predicate stops being its lane's must leave the lane. The
+//! one such case is a GC move whose source page gets superseded while it
+//! waits: it becomes issuable regardless of its LUN (it is consumed with
+//! no flash IO), so the controller re-threads it into the scan queue with
+//! [`PendingSet::move_to_scan`], which keeps the scan queue in seq order
+//! and the slot id unchanged.
 //!
 //! A group's first issuable op is the min-seq candidate over the scan
 //! queue's first issuable op and the issuable lane heads — exactly the op
@@ -51,9 +61,9 @@ pub(crate) enum QueueKey {
 }
 
 /// Issuability lane of an op within its group: `None` routes to the scan
-/// queue, `Some(key)` to the write lane for an opaque `(LUN, stream)`
-/// encoding. All ops sharing a lane key must share their issuability
-/// predicate — that is the contract that lets a lane's head speak for it.
+/// queue, `Some(key)` to the lane for an opaque resource encoding. All
+/// ops sharing a lane key must share their issuability predicate — that
+/// is the contract that lets a lane's head speak for it.
 pub(crate) type LaneKey = Option<u64>;
 
 #[derive(Debug)]
@@ -73,8 +83,8 @@ struct Queue {
 struct Group {
     /// Queue id of the order-scan queue.
     scan: u32,
-    /// Write-lane keys and their queue ids, in first-use order. Small
-    /// (≤ LUNs × streams in play); linear search beats hashing here.
+    /// Lane keys and their queue ids, in first-use order. Small (≤ LUNs
+    /// × streams in play); linear search beats hashing here.
     lane_keys: Vec<u64>,
     lane_queues: Vec<u32>,
 }
@@ -87,6 +97,8 @@ pub(crate) struct PendingSet<T> {
     slot_queue: Vec<u32>,
     free: Vec<u32>,
     queues: Vec<Queue>,
+    /// Owning group per queue.
+    queue_group: Vec<u32>,
     groups: Vec<Group>,
     by_key: BTreeMap<QueueKey, u32>,
     live: usize,
@@ -107,6 +119,7 @@ impl<T> PendingSet<T> {
                 head: NO_SLOT,
                 tail: NO_SLOT,
             }],
+            queue_group: vec![Self::TRANSFER_GROUP],
             groups: vec![Group {
                 scan: 0,
                 lane_keys: Vec::new(),
@@ -136,12 +149,12 @@ impl<T> PendingSet<T> {
         self.queues[self.groups[group as usize].scan as usize].head
     }
 
-    /// Number of write lanes a group has accumulated.
+    /// Number of lanes a group has accumulated.
     pub(crate) fn lane_count(&self, group: u32) -> usize {
         self.groups[group as usize].lane_queues.len()
     }
 
-    /// Head slot of a group's `idx`-th write lane (`NO_SLOT` when empty).
+    /// Head slot of a group's `idx`-th lane (`NO_SLOT` when empty).
     pub(crate) fn lane_head(&self, group: u32, idx: usize) -> u32 {
         let q = self.groups[group as usize].lane_queues[idx];
         self.queues[q as usize].head
@@ -160,13 +173,70 @@ impl<T> PendingSet<T> {
             .expect("read of freed pending slot")
     }
 
-    fn new_queue(queues: &mut Vec<Queue>) -> u32 {
-        let q = queues.len() as u32;
-        queues.push(Queue {
+    /// Every slot of `group` — scan queue first, then each lane in
+    /// order — for checks that need the whole group, not just heads.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn group_slots(&self, group: u32) -> impl Iterator<Item = u32> + '_ {
+        let g = &self.groups[group as usize];
+        std::iter::once(g.scan)
+            .chain(g.lane_queues.iter().copied())
+            .flat_map(move |q| {
+                std::iter::successors(
+                    Some(self.queues[q as usize].head).filter(|&s| s != NO_SLOT),
+                    move |&s| Some(self.next(s)).filter(|&n| n != NO_SLOT),
+                )
+            })
+    }
+
+    fn new_queue(&mut self, group: u32) -> u32 {
+        let q = self.queues.len() as u32;
+        self.queues.push(Queue {
             head: NO_SLOT,
             tail: NO_SLOT,
         });
+        self.queue_group.push(group);
         q
+    }
+
+    /// Thread `slot` into queue `q` right after `after` (`NO_SLOT`: at the
+    /// head).
+    fn link_after(&mut self, slot: u32, q: u32, after: u32) {
+        let queue = &mut self.queues[q as usize];
+        let next = if after == NO_SLOT {
+            std::mem::replace(&mut queue.head, slot)
+        } else {
+            std::mem::replace(&mut self.slots[after as usize].next, slot)
+        };
+        if next == NO_SLOT {
+            queue.tail = slot;
+        } else {
+            self.slots[next as usize].prev = slot;
+        }
+        self.slots[slot as usize].prev = after;
+        self.slots[slot as usize].next = next;
+        self.slot_queue[slot as usize] = q;
+    }
+
+    /// Detach `slot` from its queue.
+    fn unlink(&mut self, slot: u32) {
+        let q = self.slot_queue[slot as usize];
+        debug_assert_ne!(q, NO_SLOT, "unlink of freed pending slot");
+        let (prev, next) = {
+            let s = &self.slots[slot as usize];
+            (s.prev, s.next)
+        };
+        let queue = &mut self.queues[q as usize];
+        if prev == NO_SLOT {
+            queue.head = next;
+        } else {
+            self.slots[prev as usize].next = next;
+        }
+        if next == NO_SLOT {
+            queue.tail = prev;
+        } else {
+            self.slots[next as usize].prev = prev;
+        }
+        self.slot_queue[slot as usize] = NO_SLOT;
     }
 
     /// Append `item` to the FIFO for `key`/`lane`; returns its slot id.
@@ -175,7 +245,7 @@ impl<T> PendingSet<T> {
             Some(&g) => g,
             None => {
                 let g = self.groups.len() as u32;
-                let scan = Self::new_queue(&mut self.queues);
+                let scan = self.new_queue(g);
                 self.groups.push(Group {
                     scan,
                     lane_keys: Vec::new(),
@@ -192,7 +262,7 @@ impl<T> PendingSet<T> {
                 match group.lane_keys.iter().position(|&k| k == lk) {
                     Some(i) => group.lane_queues[i],
                     None => {
-                        let q = Self::new_queue(&mut self.queues);
+                        let q = self.new_queue(g);
                         let group = &mut self.groups[g as usize];
                         group.lane_keys.push(lk);
                         group.lane_queues.push(q);
@@ -212,51 +282,44 @@ impl<T> PendingSet<T> {
                     prev: NO_SLOT,
                     next: NO_SLOT,
                 });
+                self.slot_queue.push(NO_SLOT);
                 (self.slots.len() - 1) as u32
             }
         };
-        let queue = &mut self.queues[q as usize];
-        let tail = queue.tail;
-        self.slots[slot as usize].prev = tail;
-        self.slots[slot as usize].next = NO_SLOT;
-        if tail == NO_SLOT {
-            queue.head = slot;
-        } else {
-            self.slots[tail as usize].next = slot;
-        }
-        queue.tail = slot;
-        self.slot_queue.resize(self.slots.len(), NO_SLOT);
-        self.slot_queue[slot as usize] = q;
+        let tail = self.queues[q as usize].tail;
+        self.link_after(slot, q, tail);
         self.live += 1;
         slot
     }
 
     /// Detach `slot` from its queue and free it, returning the item.
     pub(crate) fn remove(&mut self, slot: u32) -> T {
-        let q = self.slot_queue[slot as usize];
-        debug_assert_ne!(q, NO_SLOT, "remove of freed pending slot");
-        let (prev, next) = {
-            let s = &self.slots[slot as usize];
-            (s.prev, s.next)
-        };
-        let queue = &mut self.queues[q as usize];
-        if prev == NO_SLOT {
-            queue.head = next;
-        } else {
-            self.slots[prev as usize].next = next;
-        }
-        if next == NO_SLOT {
-            queue.tail = prev;
-        } else {
-            self.slots[next as usize].prev = prev;
-        }
-        self.slot_queue[slot as usize] = NO_SLOT;
+        self.unlink(slot);
         self.free.push(slot);
         self.live -= 1;
         self.slots[slot as usize]
             .item
             .take()
             .expect("double-remove of pending slot")
+    }
+
+    /// Move `slot` out of its lane into its group's scan queue, at the
+    /// position its `seq_of` key takes among the scan queue's (ascending)
+    /// keys — found by walking back from the tail. The slot id stays the
+    /// same; a slot already on the scan queue is left where it is.
+    pub(crate) fn move_to_scan(&mut self, slot: u32, seq_of: impl Fn(&T) -> u64) {
+        let q = self.slot_queue[slot as usize];
+        let scan = self.groups[self.queue_group[q as usize] as usize].scan;
+        if q == scan {
+            return;
+        }
+        self.unlink(slot);
+        let seq = seq_of(self.get(slot));
+        let mut after = self.queues[scan as usize].tail;
+        while after != NO_SLOT && seq_of(self.get(after)) > seq {
+            after = self.slots[after as usize].prev;
+        }
+        self.link_after(slot, scan, after);
     }
 
     /// Iterate live items in slab order (NOT scheduling order). For
@@ -344,6 +407,75 @@ mod tests {
         assert_eq!(set.group_count(), 2, "group id should be stable");
         assert_eq!(*set.get(b), 2);
         assert_eq!(set.next(b), NO_SLOT);
+    }
+
+    /// Items are their own seq. Scan queue holds 10, 20, 30; one lane
+    /// holds the moved items in seq order, as the controller's lanes do.
+    fn scan_with_lane(lane_items: &[u64]) -> (PendingSet<u64>, Vec<u32>) {
+        let mut set = PendingSet::new();
+        let k = QueueKey::Class(OpClass::GcRead, None);
+        let mut all: Vec<(u64, LaneKey)> = vec![(10, None), (20, None), (30, None)];
+        all.extend(lane_items.iter().map(|&i| (i, Some(1u64 << 63))));
+        all.sort_unstable();
+        let slots = all
+            .iter()
+            .filter_map(|&(item, lane)| {
+                let slot = set.insert(k, lane, item);
+                lane.map(|_| slot)
+            })
+            .collect();
+        (set, slots)
+    }
+
+    fn scan_items(set: &PendingSet<u64>, group: u32) -> Vec<u64> {
+        let mut out = Vec::new();
+        let mut cur = set.scan_head(group);
+        while cur != NO_SLOT {
+            out.push(*set.get(cur));
+            cur = set.next(cur);
+        }
+        out
+    }
+
+    #[test]
+    fn move_to_scan_inserts_by_seq_at_head_middle_and_tail() {
+        for (moved, want) in [
+            (5, vec![5, 10, 20, 30]),
+            (25, vec![10, 20, 25, 30]),
+            (35, vec![10, 20, 30, 35]),
+        ] {
+            let (mut set, lane) = scan_with_lane(&[moved]);
+            let g = 1;
+            assert_eq!(set.len(), 4);
+            set.move_to_scan(lane[0], |&i| i);
+            assert_eq!(scan_items(&set, g), want, "moving {moved}");
+            assert_eq!(set.len(), 4, "a move is not a removal");
+            assert_eq!(*set.get(lane[0]), moved, "slot id is stable");
+            assert_eq!(set.lane_head(g, 0), NO_SLOT, "lane drained");
+            assert_eq!(set.remove(lane[0]), moved, "moved slot removes cleanly");
+            assert_eq!(scan_items(&set, g), vec![10, 20, 30]);
+        }
+    }
+
+    #[test]
+    fn move_to_scan_advances_the_lane_head() {
+        let (mut set, lane) = scan_with_lane(&[15, 25, 35]);
+        let g = 1;
+        assert_eq!(set.lane_head(g, 0), lane[0]);
+        set.move_to_scan(lane[0], |&i| i);
+        assert_eq!(set.lane_head(g, 0), lane[1], "next lane op is the head");
+        // Moving from the middle of a lane keeps its other links.
+        set.move_to_scan(lane[2], |&i| i);
+        assert_eq!(set.lane_head(g, 0), lane[1]);
+        assert_eq!(set.next(lane[1]), NO_SLOT);
+        assert_eq!(scan_items(&set, g), vec![10, 15, 20, 30, 35]);
+        // A slot already on the scan queue stays put.
+        set.move_to_scan(lane[0], |&i| i);
+        assert_eq!(scan_items(&set, g), vec![10, 15, 20, 30, 35]);
+        assert_eq!(set.len(), 6);
+        let mut group: Vec<u64> = set.group_slots(g).map(|s| *set.get(s)).collect();
+        group.sort_unstable();
+        assert_eq!(group, vec![10, 15, 20, 25, 30, 35]);
     }
 
     #[test]

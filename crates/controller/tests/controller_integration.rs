@@ -148,7 +148,10 @@ fn steady_state_overwrites_trigger_gc_and_stay_consistent() {
         .map(|_| (RequestKind::Write, rng.gen_range(logical)))
         .collect();
     d.submit_windowed(&over, 16);
-    assert!(d.c.stats().gc_erases > 0, "GC never ran under overwrite load");
+    assert!(
+        d.c.stats().gc_erases > 0,
+        "GC never ran under overwrite load"
+    );
     assert!(
         d.c.write_amplification() > 1.0,
         "GC must add write amplification"
@@ -492,4 +495,85 @@ fn mlc_run_is_slower_than_slc() {
         d.now
     };
     assert!(makespan(TimingSpec::mlc()) > makespan(TimingSpec::slc()));
+}
+
+/// Closed-loop writes of `lpns` at queue depth `qd` (ids from
+/// `first_id`), then the agenda run dry. Returns the final time.
+fn closed_loop_writes(
+    c: &mut Controller,
+    mut now: SimTime,
+    first_id: u64,
+    lpns: &[u64],
+    qd: usize,
+) -> SimTime {
+    let mut completed = 0;
+    for (i, &lpn) in lpns.iter().enumerate() {
+        c.submit(
+            SsdRequest {
+                id: first_id + i as u64,
+                kind: RequestKind::Write,
+                lpn,
+                tags: IoTags::none(),
+            },
+            now,
+        );
+        while i + 1 - completed >= qd {
+            now = c.next_event_time().expect("writes outstanding");
+            completed += c.advance(now).len();
+        }
+    }
+    while let Some(t) = c.next_event_time() {
+        now = t;
+        completed += c.advance(now).len();
+    }
+    assert_eq!(completed, lpns.len(), "every write completes");
+    now
+}
+
+/// Dispatch work must track live resources, not blocked ops: under a
+/// GC-heavy closed-loop overwrite at queue depth 128 on a 2×2 device,
+/// the pending host writes and GC moves wait in per-LUN lanes, so a
+/// scheduling round probes a few lane heads per group instead of walking
+/// every blocked op (about 6 probes per round against 59 when GC moves
+/// sat on the scan queue). The bound is 4 groups (transfers, host
+/// writes, GC moves, erases) × LUNs; a return to O(pending) walks
+/// breaks it.
+#[test]
+fn dispatch_probes_per_round_stay_bounded_under_deep_gc_load() {
+    let geometry = Geometry {
+        channels: 2,
+        luns_per_channel: 2,
+        planes_per_lun: 1,
+        blocks_per_plane: 64,
+        pages_per_block: 32,
+        page_size: 4096,
+    };
+    let cfg = ControllerConfig {
+        wl: WlConfig {
+            static_enabled: false,
+            ..WlConfig::default()
+        },
+        ..ControllerConfig::default()
+    };
+    let mut c = Controller::new(geometry, TimingSpec::slc(), cfg).unwrap();
+    let logical = c.logical_pages();
+    let fill: Vec<u64> = (0..logical).collect();
+    let now = closed_loop_writes(&mut c, SimTime::ZERO, 0, &fill, 128);
+    let mut rng = SimRng::new(5);
+    let over: Vec<u64> = (0..logical * 2).map(|_| rng.gen_range(logical)).collect();
+    let (before, gc_before) = (c.dispatch_probes(), c.stats().gc_moves);
+    closed_loop_writes(&mut c, now, logical, &over, 128);
+    let after = c.dispatch_probes();
+    assert!(
+        c.stats().gc_moves - gc_before > logical / 2,
+        "the overwrite phase must be GC-heavy"
+    );
+    let rounds = after.rounds - before.rounds;
+    let probes = after.total() - before.total();
+    let bound = 4 * u64::from(geometry.total_luns());
+    assert!(
+        probes <= bound * rounds,
+        "{probes} issuability probes over {rounds} rounds: more than {bound} per round"
+    );
+    c.check_invariants();
 }
