@@ -82,10 +82,15 @@ fn test_faults() -> FaultConfig {
     }
 }
 
-/// Run a fixed-seed mixed write/trim/read workload (every fifth request
-/// priority-tagged), optionally against a faulty array with scrubbing.
-fn run_workload(mapping: MappingKind, sched: SchedPolicy, faults: bool, obs: ObsConfig) -> Driver {
-    let cfg = ControllerConfig {
+/// The matrix's controller config: `mapping` × `sched`, optionally against
+/// a faulty array with scrubbing.
+fn workload_config(
+    mapping: MappingKind,
+    sched: SchedPolicy,
+    faults: bool,
+    obs: ObsConfig,
+) -> ControllerConfig {
+    ControllerConfig {
         mapping,
         sched,
         obs,
@@ -103,7 +108,17 @@ fn run_workload(mapping: MappingKind, sched: SchedPolicy, faults: bool, obs: Obs
             max_inflight: 1,
         }),
         ..ControllerConfig::default()
-    };
+    }
+}
+
+/// Run a fixed-seed mixed write/trim/read workload (every fifth request
+/// priority-tagged), optionally against a faulty array with scrubbing.
+fn run_workload(mapping: MappingKind, sched: SchedPolicy, faults: bool, obs: ObsConfig) -> Driver {
+    drive(workload_config(mapping, sched, faults, obs))
+}
+
+/// Run the fixed-seed mixed workload against a tiny device under `cfg`.
+fn drive(cfg: ControllerConfig) -> Driver {
     let mut d = Driver::new(Controller::new(Geometry::tiny(), TimingSpec::slc(), cfg).unwrap());
     let logical = d.c.logical_pages();
     let mut rng = SimRng::new(0xD17E_2B11);
@@ -244,6 +259,60 @@ fn golden_fingerprints_match_pinned_digests() {
             .map(|(l, h)| format!("    ({l:?}, {h:#018x}),\n"))
             .collect();
         panic!("golden fingerprint digests moved; actual table:\n{table}");
+    }
+}
+
+/// FNV-1a digests of the spans-on fingerprint per `scheme/faults` with
+/// periodic mapping checkpoints and a write buffer on — paths the
+/// [`GOLDEN`] matrix never reaches: checkpoint programs, retired-slot
+/// erases (and reserved-block replacement under faults) and background
+/// flushes. Regenerate only for a change meant to alter simulated
+/// behaviour.
+const GOLDEN_CKPT_BUFFER: [(&str, u64); 6] = [
+    ("page_map/off", 0x27e5ec8696f5f904),
+    ("page_map/on", 0x1bff02ef1422977c),
+    ("dftl/off", 0xb96e733d01c53e92),
+    ("dftl/on", 0x5c30f7f2ec6b9838),
+    ("hybrid/off", 0x2ac85776b829c80c),
+    ("hybrid/on", 0x0bfc15108fe7d114),
+];
+
+#[test]
+fn checkpoint_and_write_buffer_fingerprints_match_pinned_digests() {
+    let mut actual = Vec::new();
+    for (scheme, mapping) in schemes() {
+        for faults in [false, true] {
+            let d = drive(ControllerConfig {
+                checkpoint_interval_programs: 64,
+                write_buffer_pages: 16,
+                ..workload_config(mapping, SchedPolicy::Fifo, faults, SPANS_ON)
+            });
+            let label = format!("{scheme}/{}", if faults { "on" } else { "off" });
+            // The digest only guards these paths if the run takes them.
+            let s = d.c.stats();
+            assert!(
+                s.checkpoints_committed >= 2,
+                "{label}: no checkpoint slot was retired ({} commits)",
+                s.checkpoints_committed
+            );
+            let flushes = d.c.write_buffer().expect("buffer on").flushes_started;
+            assert!(flushes > 0, "{label}: the write buffer never flushed");
+            let obs = d.c.obs().expect("spans enabled");
+            assert_eq!(obs.dropped(), 0, "span ring too small for the fingerprint");
+            let print = fingerprint(&d) + &obs.render_spans(usize::MAX);
+            actual.push((label, fnv1a(&print)));
+        }
+    }
+    let pinned: Vec<(String, u64)> = GOLDEN_CKPT_BUFFER
+        .iter()
+        .map(|&(l, h)| (l.to_string(), h))
+        .collect();
+    if actual != pinned {
+        let table: String = actual
+            .iter()
+            .map(|(l, h)| format!("    ({l:?}, {h:#018x}),\n"))
+            .collect();
+        panic!("checkpoint/write-buffer digests moved; actual table:\n{table}");
     }
 }
 
