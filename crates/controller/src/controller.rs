@@ -10,6 +10,31 @@
 //! operation issues next and *where* unbound writes land — is delegated to
 //! the configured [`crate::sched::SchedPolicy`] and write allocator — precisely
 //! the design space the paper exposes.
+//!
+//! ## Flash-op lifecycle
+//!
+//! A flash op waits in the pending set as a `PendKind` until the scheduler
+//! issues it, then sits on the agenda as a `DoneWhat` until it completes.
+//! Each job has one path through that lifecycle, whichever module (host
+//! IO, GC, wear leveling, scrub, DFTL, hybrid merges, checkpoints) owns
+//! the op:
+//!
+//! * **One read hand-off.** Every array read completes as `ReadArray`,
+//!   which enqueues the register transfer with an `AfterXfer`: where the
+//!   data goes next. The transfer inherits the read's class and tag,
+//!   except a translation writeback's, which bills to `MappingWrite`.
+//! * **One erase op.** `PendKind::Erase` carries an `EraseOwner`: a
+//!   reclaim job, a merge, or the checkpoint. Issue, lane and the
+//!   transient-failure retry are shared. The completion frees (or masks)
+//!   the block, then advances the owner; reclaim and merge erases drive
+//!   the static wear-leveling trigger.
+//! * **One remap on program failure.** `remap_failed_program` drops the
+//!   burned page, retires its block (a hybrid log append releases its
+//!   slot instead) and re-enqueues the op to land elsewhere. Merge-fold
+//!   and checkpoint programs have fixed destinations and absorb failures.
+//! * Relocation traffic bills its op classes through one `IoSource` map
+//!   (`relocation_classes`), and wear-leveling and scrub refreshes start
+//!   through one `start_refresh` under every scheme.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -93,26 +118,46 @@ pub enum PageContent {
 /// Completion-event payloads: what finished and what to do next.
 #[derive(Debug, Clone, Copy)]
 enum DoneWhat {
-    AppReadArray { id: RequestId, addr: PhysicalAddr },
-    AppReadXfer { id: RequestId },
+    /// A page landed in its LUN register; `class` and `tag` are the read
+    /// op's, which the transfer out inherits (but see `handle_done`).
+    ReadArray { addr: PhysicalAddr, class: OpClass, tag: Option<u8>, then: AfterXfer },
+    /// A register transfer finished: hand the data on.
+    Transferred(AfterXfer),
     AppWriteDone { id: RequestId, lpn: Lpn, ppn: Ppn },
-    GcReadArray { job: usize, from: PhysicalAddr },
-    GcXfer { job: usize, from: PhysicalAddr },
+    /// A GC/WL/scrub migration (program or copy-back) landed at `new`.
     GcWriteDone { job: usize, from_ppn: Ppn, content: PageContent, new: PhysicalAddr },
-    GcCopyBackDone { job: usize, from: PhysicalAddr, to: PhysicalAddr, content: PageContent },
-    EraseDone { job: usize, block: BlockAddr },
-    MapFetchRead { tvpn: u64, addr: PhysicalAddr },
-    MapFetchXfer { tvpn: u64 },
-    WbRead { wb: usize, addr: PhysicalAddr },
-    WbXfer { wb: usize },
     WbWrite { wb: usize, new: PhysicalAddr },
     FlushDone { lpn: Lpn, version: u64, ppn: Ppn },
-    MergeReadDone { mj: usize, from: PhysicalAddr },
-    MergeXfer { mj: usize, from: PhysicalAddr },
     MergeProgDone { mj: usize, from: Option<Ppn>, dest: Ppn },
-    MergeEraseDone { source: IoSource, block: BlockAddr, job: Option<usize> },
+    EraseDone { block: BlockAddr, owner: EraseOwner },
     CkptWriteDone,
-    CkptEraseDone { block: BlockAddr },
+}
+
+/// Where read data goes once its transfer leaves the LUN register.
+#[derive(Debug, Clone, Copy)]
+enum AfterXfer {
+    /// Completes an application read.
+    App { id: RequestId },
+    /// Feeds the program of reclaim job `job`'s move of `from_ppn`.
+    Gc { job: usize, from_ppn: Ppn },
+    /// Installs a fetched translation page.
+    MapFetch { tvpn: u64 },
+    /// Feeds a translation writeback's program.
+    Wb { wb: usize },
+    /// Feeds merge job `mj`'s fold program of `from_ppn`.
+    Merge { mj: usize, from_ppn: Ppn },
+}
+
+/// Whose block an erase reclaims: what its completion advances.
+#[derive(Debug, Clone, Copy)]
+enum EraseOwner {
+    /// The victim of a GC / WL / scrub reclaim job.
+    Reclaim { job: usize },
+    /// A block a merge of `source` retired. `job`: set for the victim log
+    /// block whose erase completes that merge job.
+    Merge { source: IoSource, job: Option<usize> },
+    /// A reserved block whose checkpoint a newer commit retired.
+    Checkpoint,
 }
 
 enum CtrlEvent {
@@ -150,9 +195,9 @@ impl HybridWhat {
 #[derive(Debug, Clone, Copy)]
 enum PendKind {
     /// Transfer previously read data out of a LUN register.
-    Transfer { addr: PhysicalAddr, done: DoneWhat },
-    /// Erase a reclaimed victim.
-    Erase { block: BlockAddr, job: usize },
+    Transfer { addr: PhysicalAddr, then: AfterXfer },
+    /// Erase a block; its owner decides what the completion advances.
+    Erase { block: BlockAddr, owner: EraseOwner },
     /// Application read; physical target resolved at issue time.
     AppRead { id: RequestId, lpn: Lpn },
     /// DFTL translation-page fetch; location resolved at issue time.
@@ -172,14 +217,9 @@ enum PendKind {
     /// block. `from` is the copied source (`None`: filler keeping the
     /// destination's NAND program order over an unmapped hole).
     MergeProgram { mj: usize, from: Option<Ppn> },
-    /// Erase of a merge-retired block. `job`: set for the victim log
-    /// block whose erase completes merge job `mj`.
-    MergeErase { source: IoSource, block: BlockAddr, job: Option<usize> },
     /// Program of the in-flight checkpoint's next snapshot page into its
     /// reserved slot (destination derived from the checkpoint job).
     CkptWrite,
-    /// Erase of a reserved block whose checkpoint a newer commit retired.
-    CkptErase { block: BlockAddr },
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -1144,7 +1184,7 @@ impl Controller {
                 what: HybridWhat::App { id, .. },
             } => Some(*id),
             PendKind::Transfer {
-                done: DoneWhat::AppReadXfer { id },
+                then: AfterXfer::App { id },
                 ..
             } => Some(*id),
             _ => None,
@@ -1180,7 +1220,12 @@ impl Controller {
                 .map_or(Cause::Policy("merge"), |j| Self::source_cause(j.source))
         };
         match kind {
-            PendKind::Erase { job, .. } | PendKind::GcMove { job, .. } => job_cause(*job),
+            PendKind::GcMove { job, .. } => job_cause(*job),
+            PendKind::Erase { owner, .. } => match owner {
+                EraseOwner::Reclaim { job } => job_cause(*job),
+                EraseOwner::Merge { source, .. } => Self::source_cause(*source),
+                EraseOwner::Checkpoint => Cause::Policy("checkpoint"),
+            },
             PendKind::Write {
                 what: WriteWhat::Gc { job, .. },
                 ..
@@ -1198,14 +1243,13 @@ impl Controller {
                 what: HybridWhat::Flush { .. },
             } => Cause::Policy("flush"),
             PendKind::MergeRead { mj } | PendKind::MergeProgram { mj, .. } => merge_cause(*mj),
-            PendKind::MergeErase { source, .. } => Self::source_cause(*source),
-            PendKind::CkptWrite | PendKind::CkptErase { .. } => Cause::Policy("checkpoint"),
-            PendKind::Transfer { done, .. } => match done {
-                DoneWhat::GcXfer { job, .. } => job_cause(*job),
-                DoneWhat::MapFetchXfer { .. } => Cause::Policy("mapping"),
-                DoneWhat::WbXfer { .. } => Cause::Policy("mapping-writeback"),
-                DoneWhat::MergeXfer { mj, .. } => merge_cause(*mj),
-                _ => Cause::None,
+            PendKind::CkptWrite => Cause::Policy("checkpoint"),
+            PendKind::Transfer { then, .. } => match then {
+                AfterXfer::Gc { job, .. } => job_cause(*job),
+                AfterXfer::MapFetch { .. } => Cause::Policy("mapping"),
+                AfterXfer::Wb { .. } => Cause::Policy("mapping-writeback"),
+                AfterXfer::Merge { mj, .. } => merge_cause(*mj),
+                AfterXfer::App { .. } => Cause::None,
             },
             _ => Cause::None,
         }
@@ -1241,9 +1285,7 @@ impl Controller {
             {
                 g.lun_index(from.channel, from.lun)
             }
-            PendKind::Erase { block, .. }
-            | PendKind::MergeErase { block, .. }
-            | PendKind::CkptErase { block } => g.lun_index(block.channel, block.lun),
+            PendKind::Erase { block, .. } => g.lun_index(block.channel, block.lun),
             _ => return None,
         };
         Some(RESOURCE_LANE | u64::from(lun))
@@ -1425,14 +1467,57 @@ impl Controller {
         }
     }
 
-    fn maybe_wl(&mut self, now: SimTime) {
-        let victim = {
-            let skip = self.reclaim_skip_set();
-            pick_wl_victim(&self.array, now, &self.cfg.wl, skip)
-        };
-        if let Some(victim) = victim {
+    /// Refresh a block for `source` — static wear leveling (a young idle
+    /// block) or scrubbing (past the read-disturb / retention thresholds).
+    /// Page-mapped schemes evacuate and erase it through the reclaim
+    /// machinery. The hybrid scheme refreshes a *data* block by folding its
+    /// logical block to a fresh destination, the relocation that preserves
+    /// the block-mapping discipline, one merge at a time. Its log blocks
+    /// are skipped: merges churn them anyway. Returns whether a refresh
+    /// started.
+    fn start_refresh(&mut self, source: IoSource, now: SimTime) -> bool {
+        let FtlKind::Hybrid(h) = &self.ftl else {
+            let Some(victim) = self.refresh_victim(source, now, self.reclaim_skip_set()) else {
+                return false;
+            };
             let lun = self.array.geometry().lun_index(victim.channel, victim.lun);
-            self.start_reclaim(victim, lun, IoSource::WearLeveling, now);
+            self.start_reclaim(victim, lun, source, now);
+            return true;
+        };
+        if self.merge_active {
+            return false;
+        }
+        let g = *self.array.geometry();
+        let logs: BTreeSet<Ppn> = h.log_bases().into_iter().collect();
+        let data = h.data_block_map();
+        let skip = |b: BlockAddr| {
+            let base = g.page_index(b.page(0));
+            logs.contains(&base) || !data.contains_key(&base)
+        };
+        let Some(victim) = self.refresh_victim(source, now, skip) else {
+            return false;
+        };
+        let lbn = data[&g.page_index(victim.page(0))];
+        self.hybrid_mut().note_refresh_merge();
+        let fold = FoldPlan {
+            lbn,
+            reuse: None,
+            start: 0,
+        };
+        self.start_merge_job(MergeJob::new(source, None, vec![fold]), now);
+        true
+    }
+
+    /// The block `source`'s refresh policy picks, outside `skip`.
+    fn refresh_victim(
+        &self,
+        source: IoSource,
+        now: SimTime,
+        skip: impl Fn(BlockAddr) -> bool,
+    ) -> Option<BlockAddr> {
+        match source {
+            IoSource::Scrub => pick_scrub_victim(&self.array, self.cfg.scrub.as_ref()?, now, skip),
+            _ => pick_wl_victim(&self.array, now, &self.cfg.wl, skip),
         }
     }
 
@@ -1440,9 +1525,8 @@ impl Controller {
 
     /// Every `check_every_ops` issued flash ops, look for a block whose
     /// read-disturb count or retention age crossed the scrub thresholds
-    /// and refresh it: evacuate-and-erase through the reclaim machinery
-    /// (page-mapped schemes) or a refresh merge (hybrid). The refresh IO
-    /// rides the scheduler as `ScrubRead`/`ScrubWrite`, competing with
+    /// and refresh it (see [`Self::start_refresh`]). The refresh IO rides
+    /// the scheduler as `ScrubRead`/`ScrubWrite`, competing with
     /// application traffic under the configured policy.
     fn maybe_scrub(&mut self, now: SimTime) {
         let Some(sc) = self.cfg.scrub else { return };
@@ -1450,81 +1534,13 @@ impl Controller {
             return;
         }
         self.ops_since_scrub = 0;
-        if self.scrub_inflight >= sc.max_inflight {
-            return;
-        }
-        if self.is_hybrid() {
-            self.scrub_hybrid(now);
-            return;
-        }
-        let victim = {
-            let skip = self.reclaim_skip_set();
-            pick_scrub_victim(&self.array, &sc, now, skip)
-        };
-        if let Some(victim) = victim {
-            let lun = self.array.geometry().lun_index(victim.channel, victim.lun);
+        if self.scrub_inflight < sc.max_inflight && self.start_refresh(IoSource::Scrub, now) {
             self.scrub_inflight += 1;
             self.stats.scrub_refreshes += 1;
-            self.start_reclaim(victim, lun, IoSource::Scrub, now);
         }
-    }
-
-    /// Hybrid-scheme scrub: refresh an at-risk *data* block by folding its
-    /// logical block to a fresh destination (the discipline-preserving
-    /// relocation static WL also uses). Log blocks are skipped — their
-    /// churn through merges refreshes them anyway.
-    fn scrub_hybrid(&mut self, now: SimTime) {
-        if self.merge_active {
-            return; // one merge at a time; retry at the next check
-        }
-        let Some(sc) = self.cfg.scrub else { return };
-        let lbn = {
-            let FtlKind::Hybrid(h) = &self.ftl else { return };
-            let g = *self.array.geometry();
-            let logs: BTreeSet<Ppn> = h.log_bases().into_iter().collect();
-            let data = h.data_block_map();
-            let skip = |b: BlockAddr| {
-                let base = g.page_index(b.page(0));
-                logs.contains(&base) || !data.contains_key(&base)
-            };
-            let Some(victim) = pick_scrub_victim(&self.array, &sc, now, skip) else {
-                return;
-            };
-            let base = g.page_index(victim.page(0));
-            data[&base]
-        };
-        self.scrub_inflight += 1;
-        self.stats.scrub_refreshes += 1;
-        self.hybrid_mut().note_refresh_merge();
-        self.start_merge_job(
-            MergeJob::new(
-                IoSource::Scrub,
-                None,
-                vec![FoldPlan {
-                    lbn,
-                    reuse: None,
-                    start: 0,
-                }],
-            ),
-            now,
-        );
     }
 
     // ----- injected-fault handling ----------------------------------------
-
-    /// Schedule the wake-ups of an issued command whose completion event
-    /// was cancelled by an injected fault (the op re-enqueued instead):
-    /// the LUN/channel occupancy the command charged is still real, and
-    /// the retry can only issue once those resources free.
-    fn fault_wakes(&mut self, out: eagletree_flash::IssueOutcome) {
-        self.events.schedule(out.done_at, CtrlEvent::Wake);
-        if out.channel_free_at < out.done_at {
-            self.events.schedule(out.channel_free_at, CtrlEvent::Wake);
-        }
-        if out.lun_free_at < out.done_at {
-            self.events.schedule(out.lun_free_at, CtrlEvent::Wake);
-        }
-    }
 
     /// Ledger an uncorrectable read of application data: `lpn` is the
     /// logical page whose content the read carried, if any (translation
@@ -1555,22 +1571,20 @@ impl Controller {
         self.victims.insert(victim);
         self.reclaim_active[lun as usize] += 1;
         if valid.is_empty() {
-            self.enqueue_erase(job_id, victim, now);
+            self.enqueue_erase(victim, EraseOwner::Reclaim { job: job_id }, now);
         } else {
-            let class = match source {
-                IoSource::WearLeveling => OpClass::WlRead,
-                IoSource::Scrub => OpClass::ScrubRead,
-                _ => OpClass::GcRead,
-            };
+            let (class, _) = Self::relocation_classes(source);
             for from in valid {
                 self.enqueue(class, None, now, PendKind::GcMove { job: job_id, from });
             }
         }
     }
 
-    fn enqueue_erase(&mut self, job: usize, block: BlockAddr, now: SimTime) {
-        self.jobs[job].as_mut().expect("live job").erase_enqueued = true;
-        self.enqueue(OpClass::Erase, None, now, PendKind::Erase { block, job });
+    fn enqueue_erase(&mut self, block: BlockAddr, owner: EraseOwner, now: SimTime) {
+        if let EraseOwner::Reclaim { job } = owner {
+            self.jobs[job].as_mut().expect("live job").erase_enqueued = true;
+        }
+        self.enqueue(OpClass::Erase, None, now, PendKind::Erase { block, owner });
     }
 
     /// Turn any translation writebacks (DFTL) or switch-merge events
@@ -1600,31 +1614,38 @@ impl Controller {
             if wb.old_ppn.is_some() {
                 self.enqueue(OpClass::MappingRead, None, now, PendKind::WbRead { wb: id });
             } else {
-                self.enqueue(
-                    OpClass::MappingWrite,
-                    None,
-                    now,
-                    PendKind::Write {
-                        lun: None,
-                        stream: Stream::Translation,
-                        what: WriteWhat::Translation { wb: id },
-                    },
-                );
+                self.enqueue_translation_write(id, now);
             }
         }
     }
 
-    // ----- hybrid log-block merges ----------------------------------------
+    /// Enqueue translation writeback `wb`'s program.
+    fn enqueue_translation_write(&mut self, wb: usize, now: SimTime) {
+        self.enqueue(
+            OpClass::MappingWrite,
+            None,
+            now,
+            PendKind::Write {
+                lun: None,
+                stream: Stream::Translation,
+                what: WriteWhat::Translation { wb },
+            },
+        );
+    }
 
-    /// Op classes for a merge job's copies: WL refresh merges bill to the
-    /// wear-leveling classes, everything else to the merge classes.
-    fn merge_classes(source: IoSource) -> (OpClass, OpClass) {
+    /// Read and write op classes of relocation traffic from `source`:
+    /// wear leveling and scrubbing bill to their own classes under every
+    /// scheme, hybrid merges to the merge classes, GC to the GC classes.
+    fn relocation_classes(source: IoSource) -> (OpClass, OpClass) {
         match source {
             IoSource::WearLeveling => (OpClass::WlRead, OpClass::WlWrite),
             IoSource::Scrub => (OpClass::ScrubRead, OpClass::ScrubWrite),
-            _ => (OpClass::MergeRead, OpClass::MergeWrite),
+            IoSource::Merge => (OpClass::MergeRead, OpClass::MergeWrite),
+            _ => (OpClass::GcRead, OpClass::GcWrite),
         }
     }
+
+    // ----- hybrid log-block merges ----------------------------------------
 
     /// React to the hybrid FTL's structural needs: open log blocks for
     /// pending appends, and start (or un-stall) merge jobs when the log
@@ -1681,25 +1702,10 @@ impl Controller {
                         if self.merge_active {
                             break;
                         }
-                        if let Some(plan) = self.hybrid_mut().take_sw_for_merge() {
-                            let fold = FoldPlan {
-                                lbn: plan.lbn,
-                                reuse: plan.reuse_from.map(|_| plan.base),
-                                start: plan.reuse_from.unwrap_or(0),
-                            };
-                            // A superseded prefix cannot be completed in
-                            // place: fold elsewhere, then erase the log
-                            // block.
-                            let victim = plan.reuse_from.is_none().then_some(plan.base);
-                            self.start_merge_job(
-                                MergeJob::new(IoSource::Merge, victim, vec![fold]),
-                                now,
-                            );
-                            if !self.merge_active {
-                                // Instant switch: the SW slot freed with
-                                // no event pending — re-place this write.
-                                continue;
-                            }
+                        if self.start_sw_merge(now) && !self.merge_active {
+                            // Instant switch: the SW slot freed with no
+                            // event pending — re-place this write.
+                            continue;
                         }
                     }
                     HybridPlace::NeedsMerge => {
@@ -1752,17 +1758,25 @@ impl Controller {
             return false;
         }
         self.hybrid_mut().seal_sw();
-        if let Some(plan) = self.hybrid_mut().take_sw_for_merge() {
-            let fold = FoldPlan {
-                lbn: plan.lbn,
-                reuse: plan.reuse_from.map(|_| plan.base),
-                start: plan.reuse_from.unwrap_or(0),
-            };
-            let victim = plan.reuse_from.is_none().then_some(plan.base);
-            self.start_merge_job(MergeJob::new(IoSource::Merge, victim, vec![fold]), now);
-            return true;
-        }
-        false
+        self.start_sw_merge(now)
+    }
+
+    /// Merge the sealed SW log block, if the scheme hands one out: complete
+    /// it in place, or — a superseded prefix cannot be completed in place —
+    /// fold elsewhere, then erase the log block. Returns whether a merge
+    /// job started.
+    fn start_sw_merge(&mut self, now: SimTime) -> bool {
+        let Some(plan) = self.hybrid_mut().take_sw_for_merge() else {
+            return false;
+        };
+        let fold = FoldPlan {
+            lbn: plan.lbn,
+            reuse: plan.reuse_from.map(|_| plan.base),
+            start: plan.reuse_from.unwrap_or(0),
+        };
+        let victim = plan.reuse_from.is_none().then_some(plan.base);
+        self.start_merge_job(MergeJob::new(IoSource::Merge, victim, vec![fold]), now);
+        true
     }
 
     fn start_merge_job(&mut self, job: MergeJob, now: SimTime) {
@@ -1780,29 +1794,21 @@ impl Controller {
             let job = self.merge_jobs[mj].as_mut().expect("live merge job");
             job.waiting_for_block = false;
             let source = job.source;
-            let (read_class, write_class) = Self::merge_classes(source);
             if let Some(cur) = job.cur {
                 if cur.next < cur.end {
                     let lpn = cur.lbn * self.ppb() + cur.next as u64;
                     match self.ftl.peek(lpn) {
                         Some(_) => {
-                            self.enqueue(read_class, None, now, PendKind::MergeRead { mj })
+                            let (class, _) = Self::relocation_classes(source);
+                            self.enqueue(class, None, now, PendKind::MergeRead { mj })
                         }
-                        None => self.enqueue(
-                            write_class,
-                            None,
-                            now,
-                            PendKind::MergeProgram { mj, from: None },
-                        ),
+                        None => self.enqueue_merge_program(mj, None, now),
                     }
                     return;
                 }
                 // Fold complete: the destination becomes the data block.
                 self.merge_jobs[mj].as_mut().unwrap().cur = None;
-                let old = self.hybrid_mut().fold_finished(cur.lbn, Some(cur.dest));
-                if let Some(old) = old {
-                    self.enqueue_merge_erase(source, old, None, now);
-                }
+                self.finish_fold(source, cur.lbn, Some(cur.dest), now);
                 continue;
             }
             let Some(plan) = job.folds.pop_front() else {
@@ -1827,10 +1833,7 @@ impl Controller {
             match plan.reuse {
                 Some(base) if end <= plan.start => {
                     // Switch: the log block already holds everything live.
-                    let old = self.hybrid_mut().fold_finished(plan.lbn, Some(base));
-                    if let Some(old) = old {
-                        self.enqueue_merge_erase(source, old, None, now);
-                    }
+                    self.finish_fold(source, plan.lbn, Some(base), now);
                 }
                 Some(base) => {
                     self.merge_jobs[mj].as_mut().unwrap().cur = Some(FoldState {
@@ -1842,10 +1845,7 @@ impl Controller {
                 }
                 None if end == 0 => {
                     // Nothing live (trimmed away): drop the directory entry.
-                    let old = self.hybrid_mut().fold_finished(plan.lbn, None);
-                    if let Some(old) = old {
-                        self.enqueue_merge_erase(source, old, None, now);
-                    }
+                    self.finish_fold(source, plan.lbn, None, now);
                 }
                 None => match self.alloc.take_block() {
                     Some((block, _)) => {
@@ -1869,6 +1869,22 @@ impl Controller {
         }
     }
 
+    /// Fold of `lbn` done: `dest` becomes its data block (`None`: nothing
+    /// live, the directory entry goes). Erase the data block it replaces.
+    fn finish_fold(&mut self, source: IoSource, lbn: u64, dest: Option<Ppn>, now: SimTime) {
+        if let Some(old) = self.hybrid_mut().fold_finished(lbn, dest) {
+            self.enqueue_merge_erase(source, old, None, now);
+        }
+    }
+
+    /// Enqueue merge job `mj`'s program of the current fold offset
+    /// (`from`: the copied source; `None`: a filler over an unmapped hole).
+    fn enqueue_merge_program(&mut self, mj: usize, from: Option<Ppn>, now: SimTime) {
+        let source = self.merge_jobs[mj].as_ref().expect("live merge job").source;
+        let (_, class) = Self::relocation_classes(source);
+        self.enqueue(class, None, now, PendKind::MergeProgram { mj, from });
+    }
+
     fn enqueue_merge_erase(
         &mut self,
         source: IoSource,
@@ -1877,49 +1893,7 @@ impl Controller {
         now: SimTime,
     ) {
         let block = self.array.geometry().page_at(base).block_addr();
-        self.enqueue(
-            OpClass::Erase,
-            None,
-            now,
-            PendKind::MergeErase { source, block, job },
-        );
-    }
-
-    /// Static wear leveling under the hybrid scheme: refresh a young idle
-    /// *data* block by folding its logical block to a fresh destination —
-    /// relocation that preserves the block-mapping discipline.
-    fn hybrid_maybe_wl(&mut self, now: SimTime) {
-        if self.merge_active || !self.cfg.wl.static_enabled {
-            return;
-        }
-        let lbn = {
-            let FtlKind::Hybrid(h) = &self.ftl else { return };
-            let g = *self.array.geometry();
-            let logs: BTreeSet<Ppn> = h.log_bases().into_iter().collect();
-            let data = h.data_block_map();
-            let skip = |b: BlockAddr| {
-                let base = g.page_index(b.page(0));
-                logs.contains(&base) || !data.contains_key(&base)
-            };
-            let Some(victim) = pick_wl_victim(&self.array, now, &self.cfg.wl, skip) else {
-                return;
-            };
-            let base = g.page_index(victim.page(0));
-            data[&base]
-        };
-        self.hybrid_mut().note_refresh_merge();
-        self.start_merge_job(
-            MergeJob::new(
-                IoSource::WearLeveling,
-                None,
-                vec![FoldPlan {
-                    lbn,
-                    reuse: None,
-                    start: 0,
-                }],
-            ),
-            now,
-        );
+        self.enqueue_erase(block, EraseOwner::Merge { source, job }, now);
     }
 
     // ----- periodic mapping checkpoints -----------------------------------
@@ -2018,7 +1992,7 @@ impl Controller {
                     self.invalidate_ppn(base + p);
                 }
             }
-            self.enqueue(OpClass::Erase, None, now, PendKind::CkptErase { block });
+            self.enqueue_erase(block, EraseOwner::Checkpoint, now);
         }
     }
 
@@ -2073,6 +2047,12 @@ impl Controller {
             .expect("merge op without an active fold")
     }
 
+    /// The logical page at merge job `mj`'s current fold offset.
+    fn merge_lpn(&self, mj: usize) -> Lpn {
+        let cur = self.merge_cur(mj);
+        cur.lbn * self.ppb() + cur.next as u64
+    }
+
     /// A program for `stream` could start on `lun` right now: either the
     /// LUN is idle, or (cached programming) the stream's next page extends
     /// the block the LUN is currently programming.
@@ -2107,6 +2087,24 @@ impl Controller {
         }
     }
 
+    /// A read of `src` could start right now; a read with no source
+    /// (`None`) is consumed without flash IO, so it always can.
+    fn read_ok(&self, src: Option<Ppn>, now: SimTime) -> bool {
+        src.is_none_or(|ppn| {
+            let addr = self.array.geometry().page_at(ppn);
+            self.cmd_resources_free(&FlashCommand::ReadStart(addr), now)
+        })
+    }
+
+    /// The page translation writeback `wb` must merge with: its old copy,
+    /// unless there is none or it was erased meanwhile (then the program
+    /// goes ahead without the read).
+    fn wb_source(&self, wb: usize) -> Option<Ppn> {
+        let old = self.wb_jobs[wb].as_ref().expect("live wb job").old_ppn;
+        let g = self.array.geometry();
+        old.filter(|&ppn| self.array.page_state(g.page_at(ppn)) != PageState::Free)
+    }
+
     /// Whether `op` could issue (or be consumed) right now. `memo` caches
     /// write-issuability per `(LUN, stream)` within one scheduling round
     /// (the underlying state only changes when an op actually issues).
@@ -2118,37 +2116,13 @@ impl Controller {
             PendKind::Erase { block, .. } => {
                 self.cmd_resources_free(&FlashCommand::Erase(block), now)
             }
-            PendKind::AppRead { id, .. } => {
-                let lpn = self.app[&id].req.lpn;
-                match self.ftl.peek(lpn) {
-                    None => true, // trimmed mid-flight: completes instantly
-                    Some(ppn) => {
-                        let addr = self.array.geometry().page_at(ppn);
-                        self.cmd_resources_free(&FlashCommand::ReadStart(addr), now)
-                    }
-                }
+            // Trimmed mid-flight: completes instantly.
+            PendKind::AppRead { lpn, .. } => self.read_ok(self.ftl.peek(lpn), now),
+            // Resolvable from RAM: consumed instantly.
+            PendKind::MapFetchRead { tvpn } => {
+                self.read_ok(self.ftl.translation_location(tvpn), now)
             }
-            PendKind::MapFetchRead { tvpn } => match self.ftl.translation_location(tvpn) {
-                None => true, // resolvable from RAM: consumed instantly
-                Some(ppn) => {
-                    let addr = self.array.geometry().page_at(ppn);
-                    self.cmd_resources_free(&FlashCommand::ReadStart(addr), now)
-                }
-            },
-            PendKind::WbRead { wb } => {
-                let job = self.wb_jobs[wb].as_ref().expect("live wb job");
-                match job.old_ppn {
-                    None => true,
-                    Some(ppn) => {
-                        let addr = self.array.geometry().page_at(ppn);
-                        if self.array.page_state(addr) == PageState::Free {
-                            true // merge source erased: skip straight to program
-                        } else {
-                            self.cmd_resources_free(&FlashCommand::ReadStart(addr), now)
-                        }
-                    }
-                }
-            }
+            PendKind::WbRead { wb } => self.read_ok(self.wb_source(wb), now),
             PendKind::Write { lun, stream, .. } => {
                 if let Some(&(_, ok)) = memo.iter().find(|&&(k, _)| k == (lun, stream)) {
                     return ok;
@@ -2174,30 +2148,14 @@ impl Controller {
                     _ => false,
                 }
             }
-            PendKind::MergeRead { mj } => {
-                let cur = self.merge_cur(mj);
-                let lpn = cur.lbn * self.ppb() + cur.next as u64;
-                match self.ftl.peek(lpn) {
-                    // Trimmed since enqueue: reroutes to a filler program.
-                    None => true,
-                    Some(src) => {
-                        let addr = self.array.geometry().page_at(src);
-                        self.cmd_resources_free(&FlashCommand::ReadStart(addr), now)
-                    }
-                }
-            }
+            // Trimmed since enqueue: reroutes to a filler program.
+            PendKind::MergeRead { mj } => self.read_ok(self.ftl.peek(self.merge_lpn(mj)), now),
             PendKind::MergeProgram { mj, .. } => {
                 let cur = self.merge_cur(mj);
                 let addr = self.array.geometry().page_at(cur.dest + cur.next as u64);
                 self.program_ok(addr, now)
             }
-            PendKind::MergeErase { block, .. } => {
-                self.cmd_resources_free(&FlashCommand::Erase(block), now)
-            }
             PendKind::CkptWrite => self.program_ok(self.ckpt_dest(), now),
-            PendKind::CkptErase { block } => {
-                self.cmd_resources_free(&FlashCommand::Erase(block), now)
-            }
         }
     }
 
@@ -2379,71 +2337,54 @@ impl Controller {
         self.stats.wait_us[class_index(op.class)]
             .record(now.saturating_since(op.enqueued_at).as_micros_f64());
         match op.kind {
-            PendKind::Transfer { addr, done } => {
+            PendKind::Transfer { addr, then } => {
                 let out = self.issue_cmd(FlashCommand::TransferOut(addr), now);
-                self.finish_issue(op.class, done, out);
+                self.finish_issue(op.class, DoneWhat::Transferred(then), out);
             }
-            PendKind::Erase { block, job } => {
+            PendKind::Erase { block, owner } => {
                 let out = self.issue_cmd(FlashCommand::Erase(block), now);
                 // A transient erase failure leaves the block un-reset:
                 // charge the time, retry. A retiring failure falls through
                 // to EraseDone, whose bad-block path swallows the block.
                 if matches!(out.fault, Some(FaultEvent::EraseFailed { retired: false })) {
                     self.stats.erase_retries += 1;
-                    self.enqueue(op.class, op.tag, now, PendKind::Erase { block, job });
-                    self.fault_wakes(out);
+                    self.requeue(&op, op.kind, out, now);
                     return;
                 }
-                self.finish_issue(op.class, DoneWhat::EraseDone { job, block }, out);
+                self.finish_issue(op.class, DoneWhat::EraseDone { block, owner }, out);
             }
             PendKind::AppRead { id, lpn } => match self.ftl.peek(lpn) {
                 None => self.complete_app(id, now),
                 Some(ppn) => {
                     let addr = self.array.geometry().page_at(ppn);
                     let out = self.issue_cmd(FlashCommand::ReadStart(addr), now);
-                    self.note_read_fault(&out, Some(lpn));
-                    self.finish_issue(op.class, DoneWhat::AppReadArray { id, addr }, out);
+                    self.finish_read(&op, addr, Some(lpn), AfterXfer::App { id }, out);
                 }
             },
             PendKind::MapFetchRead { tvpn } => match self.ftl.translation_location(tvpn) {
                 None => {
                     // Entries live in RAM structures: resolve immediately.
                     self.obs_close_cur(now);
-                    self.events.schedule(now, CtrlEvent::Done(DoneWhat::MapFetchXfer { tvpn }));
+                    let done = DoneWhat::Transferred(AfterXfer::MapFetch { tvpn });
+                    self.events.schedule(now, CtrlEvent::Done(done));
                 }
                 Some(ppn) => {
                     let addr = self.array.geometry().page_at(ppn);
                     let out = self.issue_cmd(FlashCommand::ReadStart(addr), now);
-                    self.finish_issue(op.class, DoneWhat::MapFetchRead { tvpn, addr }, out);
+                    self.finish_read(&op, addr, None, AfterXfer::MapFetch { tvpn }, out);
                 }
             },
-            PendKind::WbRead { wb } => {
-                let old = self.wb_jobs[wb].as_ref().expect("live wb job").old_ppn;
-                let skip = match old {
-                    None => true,
-                    Some(ppn) => {
-                        let addr = self.array.geometry().page_at(ppn);
-                        self.array.page_state(addr) == PageState::Free
-                    }
-                };
-                if skip {
+            PendKind::WbRead { wb } => match self.wb_source(wb) {
+                None => {
                     self.obs_close_cur(now);
-                    self.enqueue(
-                        OpClass::MappingWrite,
-                        None,
-                        now,
-                        PendKind::Write {
-                            lun: None,
-                            stream: Stream::Translation,
-                            what: WriteWhat::Translation { wb },
-                        },
-                    );
-                } else {
-                    let addr = self.array.geometry().page_at(old.unwrap());
-                    let out = self.issue_cmd(FlashCommand::ReadStart(addr), now);
-                    self.finish_issue(op.class, DoneWhat::WbRead { wb, addr }, out);
+                    self.enqueue_translation_write(wb, now);
                 }
-            }
+                Some(ppn) => {
+                    let addr = self.array.geometry().page_at(ppn);
+                    let out = self.issue_cmd(FlashCommand::ReadStart(addr), now);
+                    self.finish_read(&op, addr, None, AfterXfer::Wb { wb }, out);
+                }
+            },
             PendKind::Write { lun, stream, what } => {
                 let lun = match lun {
                     Some(l) => l,
@@ -2464,17 +2405,8 @@ impl Controller {
                 };
                 self.reverse[ppn as usize] = Some(content);
                 let out = self.issue_cmd(FlashCommand::Program(addr), now);
-                if matches!(out.fault, Some(FaultEvent::ProgramFailed)) {
-                    // The page is burned (no OOB stamp: recovery skips it)
-                    // and its block can't be trusted for fresh allocations:
-                    // retire it as grown bad and remap the write by
-                    // re-enqueueing — the retry allocates elsewhere.
-                    self.reverse[ppn as usize] = None;
-                    self.array.invalidate(addr);
-                    self.alloc.retire_block(addr.block_addr());
-                    self.stats.program_remaps += 1;
-                    self.enqueue(op.class, op.tag, now, PendKind::Write { lun: None, stream, what });
-                    self.fault_wakes(out);
+                let retry = PendKind::Write { lun: None, stream, what };
+                if self.remap_failed_program(&op, addr, retry, out, now) {
                     return;
                 }
                 // Relocations inherit the source's content version; host
@@ -2508,7 +2440,6 @@ impl Controller {
                     self.move_done(job, now);
                     return;
                 };
-                let source = self.jobs[job].as_ref().expect("live job").source;
                 // Copy-back when permitted, supported, and a same-plane
                 // destination exists.
                 if self.cfg.gc.use_copyback
@@ -2521,34 +2452,23 @@ impl Controller {
                             Some(content);
                         let seq = self.source_seq(from_ppn);
                         let out = self.issue_cmd(FlashCommand::CopyBack { from, to }, now);
-                        let to_ppn = self.array.geometry().page_index(to);
-                        if matches!(out.fault, Some(FaultEvent::ProgramFailed)) {
-                            // Destination burned: retire its block and remap
-                            // the migration; the source page is still live.
-                            self.reverse[to_ppn as usize] = None;
-                            self.array.invalidate(to);
-                            self.alloc.retire_block(to.block_addr());
-                            self.stats.program_remaps += 1;
-                            self.enqueue(op.class, op.tag, now, PendKind::GcMove { job, from });
-                            self.fault_wakes(out);
+                        // A burned destination remaps the migration; the
+                        // source page is still live.
+                        if self.remap_failed_program(&op, to, op.kind, out, now) {
                             return;
                         }
                         // Copy-back reads on-chip; an uncorrectable source
                         // still surfaces through the fault event.
                         self.note_read_fault(&out, Self::content_lpn(content));
                         self.stamp_program(to, Self::content_tag(content), Some(seq));
-                        self.finish_issue(
-                            op.class,
-                            DoneWhat::GcCopyBackDone { job, from, to, content },
-                            out,
-                        );
+                        let done = DoneWhat::GcWriteDone { job, from_ppn, content, new: to };
+                        self.finish_issue(op.class, done, out);
                         return;
                     }
                 }
                 let out = self.issue_cmd(FlashCommand::ReadStart(from), now);
-                let _ = source;
-                self.note_read_fault(&out, Self::content_lpn(content));
-                self.finish_issue(op.class, DoneWhat::GcReadArray { job, from }, out);
+                let lpn = Self::content_lpn(content);
+                self.finish_read(&op, from, lpn, AfterXfer::Gc { job, from_ppn }, out);
             }
             PendKind::HybridWrite { what } => {
                 let lpn = what.lpn();
@@ -2556,17 +2476,7 @@ impl Controller {
                 let addr = self.array.geometry().page_at(ppn);
                 self.reverse[ppn as usize] = Some(PageContent::Data(lpn));
                 let out = self.issue_cmd(FlashCommand::Program(addr), now);
-                if matches!(out.fault, Some(FaultEvent::ProgramFailed)) {
-                    // Burned log-block page: release the append slot (the
-                    // entry stays, so merges see the offset as stale and
-                    // switch merges are off the table) and retry — the next
-                    // commit_append lands on the advanced write pointer.
-                    self.reverse[ppn as usize] = None;
-                    self.array.invalidate(addr);
-                    self.hybrid_mut().abort_append(ppn);
-                    self.stats.program_remaps += 1;
-                    self.enqueue(op.class, op.tag, now, PendKind::HybridWrite { what });
-                    self.fault_wakes(out);
+                if self.remap_failed_program(&op, addr, op.kind, out, now) {
                     return;
                 }
                 self.stamp_program(addr, OobTag::Data { lpn }, None);
@@ -2579,31 +2489,19 @@ impl Controller {
                 self.finish_issue(op.class, done, out);
             }
             PendKind::MergeRead { mj } => {
-                let cur = self.merge_cur(mj);
-                let lpn = cur.lbn * self.ppb() + cur.next as u64;
+                let lpn = self.merge_lpn(mj);
                 match self.ftl.peek(lpn) {
                     None => {
                         // Trimmed since enqueue: a filler program keeps the
                         // destination's page order instead.
                         self.obs_close_cur(now);
-                        let source = self.merge_jobs[mj].as_ref().unwrap().source;
-                        let (_, write_class) = Self::merge_classes(source);
-                        self.enqueue(
-                            write_class,
-                            None,
-                            now,
-                            PendKind::MergeProgram { mj, from: None },
-                        );
+                        self.enqueue_merge_program(mj, None, now);
                     }
                     Some(src) => {
                         let addr = self.array.geometry().page_at(src);
                         let out = self.issue_cmd(FlashCommand::ReadStart(addr), now);
-                        self.note_read_fault(&out, Some(lpn));
-                        self.finish_issue(
-                            op.class,
-                            DoneWhat::MergeReadDone { mj, from: addr },
-                            out,
-                        );
+                        let then = AfterXfer::Merge { mj, from_ppn: src };
+                        self.finish_read(&op, addr, Some(lpn), then, out);
                     }
                 }
             }
@@ -2636,20 +2534,6 @@ impl Controller {
                 }
                 self.finish_issue(op.class, DoneWhat::MergeProgDone { mj, from, dest }, out);
             }
-            PendKind::MergeErase { source, block, job } => {
-                let out = self.issue_cmd(FlashCommand::Erase(block), now);
-                if matches!(out.fault, Some(FaultEvent::EraseFailed { retired: false })) {
-                    self.stats.erase_retries += 1;
-                    self.enqueue(op.class, op.tag, now, PendKind::MergeErase { source, block, job });
-                    self.fault_wakes(out);
-                    return;
-                }
-                self.finish_issue(
-                    op.class,
-                    DoneWhat::MergeEraseDone { source, block, job },
-                    out,
-                );
-            }
             PendKind::CkptWrite => {
                 let addr = self.ckpt_dest();
                 let slot = {
@@ -2676,16 +2560,6 @@ impl Controller {
                 self.stats.checkpoint_pages += 1;
                 self.finish_issue(op.class, DoneWhat::CkptWriteDone, out);
             }
-            PendKind::CkptErase { block } => {
-                let out = self.issue_cmd(FlashCommand::Erase(block), now);
-                if matches!(out.fault, Some(FaultEvent::EraseFailed { retired: false })) {
-                    self.stats.erase_retries += 1;
-                    self.enqueue(op.class, op.tag, now, PendKind::CkptErase { block });
-                    self.fault_wakes(out);
-                    return;
-                }
-                self.finish_issue(op.class, DoneWhat::CkptEraseDone { block }, out);
-            }
         }
     }
 
@@ -2706,7 +2580,29 @@ impl Controller {
         out: eagletree_flash::IssueOutcome,
     ) {
         self.stats.issued[class_index(class)] += 1;
-        self.events.schedule(out.done_at, CtrlEvent::Done(done));
+        self.schedule_outcome(out, CtrlEvent::Done(done));
+    }
+
+    /// Finish issuing read `op` of `addr`, which carries `lpn`'s data, if
+    /// any: ledger an uncorrectable outcome; the completion enqueues the
+    /// transfer out of the register, which hands the data to `then`.
+    fn finish_read(
+        &mut self,
+        op: &PendingOp,
+        addr: PhysicalAddr,
+        lpn: Option<Lpn>,
+        then: AfterXfer,
+        out: eagletree_flash::IssueOutcome,
+    ) {
+        self.note_read_fault(&out, lpn);
+        let done = DoneWhat::ReadArray { addr, class: op.class, tag: op.tag, then };
+        self.finish_issue(op.class, done, out);
+    }
+
+    /// Schedule `ev` when an issued command finishes, plus wake-ups at the
+    /// instants its channel and LUN free up earlier.
+    fn schedule_outcome(&mut self, out: eagletree_flash::IssueOutcome, ev: CtrlEvent) {
+        self.events.schedule(out.done_at, ev);
         if out.channel_free_at < out.done_at {
             self.events.schedule(out.channel_free_at, CtrlEvent::Wake);
         }
@@ -2715,23 +2611,68 @@ impl Controller {
         }
     }
 
+    /// Re-enqueue `kind` in place of `op`, whose completion an injected
+    /// fault cancelled. The LUN/channel occupancy the failed command
+    /// charged is still real, and the retry can only issue once those
+    /// resources free: wake the scheduler then.
+    fn requeue(
+        &mut self,
+        op: &PendingOp,
+        kind: PendKind,
+        out: eagletree_flash::IssueOutcome,
+        now: SimTime,
+    ) {
+        self.enqueue(op.class, op.tag, now, kind);
+        self.schedule_outcome(out, CtrlEvent::Wake);
+    }
+
+    /// The one response to a failed program status, shared by host,
+    /// flush, translation, GC/WL/scrub and hybrid-log programs. The page
+    /// at `addr` is burned (no OOB stamp: recovery skips it). An
+    /// allocator-placed program retires the block as grown bad, since it
+    /// can't be trusted for fresh allocations. A hybrid log append instead
+    /// releases its append slot: the entry stays, so merges see the offset
+    /// as stale and switch merges are off the table. Then `retry` replaces
+    /// `op` and lands elsewhere. Returns false, doing nothing, when the
+    /// program succeeded. (Merge-fold and checkpoint programs absorb
+    /// failures instead: their destinations are fixed.)
+    fn remap_failed_program(
+        &mut self,
+        op: &PendingOp,
+        addr: PhysicalAddr,
+        retry: PendKind,
+        out: eagletree_flash::IssueOutcome,
+        now: SimTime,
+    ) -> bool {
+        if !matches!(out.fault, Some(FaultEvent::ProgramFailed)) {
+            return false;
+        }
+        let ppn = self.array.geometry().page_index(addr);
+        self.invalidate_ppn(ppn);
+        if let PendKind::HybridWrite { .. } = retry {
+            self.hybrid_mut().abort_append(ppn);
+        } else {
+            self.alloc.retire_block(addr.block_addr());
+        }
+        self.stats.program_remaps += 1;
+        self.requeue(op, retry, out, now);
+        true
+    }
+
     // ----- completion handling -------------------------------------------
 
     fn handle_done(&mut self, d: DoneWhat, now: SimTime) {
         match d {
-            DoneWhat::AppReadArray { id, addr } => {
-                let tag = self.app[&id].req.tags.priority;
-                self.enqueue(
-                    OpClass::AppRead,
-                    tag,
-                    now,
-                    PendKind::Transfer {
-                        addr,
-                        done: DoneWhat::AppReadXfer { id },
-                    },
-                );
+            DoneWhat::ReadArray { addr, class, tag, then } => {
+                // A translation writeback's merge read is the exception:
+                // its transfer feeds the writeback program and bills to it.
+                let class = match then {
+                    AfterXfer::Wb { .. } => OpClass::MappingWrite,
+                    _ => class,
+                };
+                self.enqueue(class, tag, now, PendKind::Transfer { addr, then });
             }
-            DoneWhat::AppReadXfer { id } => self.complete_app(id, now),
+            DoneWhat::Transferred(AfterXfer::App { id }) => self.complete_app(id, now),
             DoneWhat::AppWriteDone { id, lpn, ppn } => {
                 self.stamp_landed(ppn);
                 let old = self.ftl.update(lpn, ppn);
@@ -2746,20 +2687,7 @@ impl Controller {
                 self.drain_ftl_writebacks(now);
                 self.complete_app(id, now);
             }
-            DoneWhat::GcReadArray { job, from } => {
-                let class = self.job_class(job, true);
-                self.enqueue(
-                    class,
-                    None,
-                    now,
-                    PendKind::Transfer {
-                        addr: from,
-                        done: DoneWhat::GcXfer { job, from },
-                    },
-                );
-            }
-            DoneWhat::GcXfer { job, from } => {
-                let from_ppn = self.array.geometry().page_index(from);
+            DoneWhat::Transferred(AfterXfer::Gc { job, from_ppn }) => {
                 match self.reverse[from_ppn as usize] {
                     None => {
                         // Invalidated between read and write: drop the move.
@@ -2773,7 +2701,7 @@ impl Controller {
                         } else {
                             None
                         };
-                        let class = self.job_class(job, false);
+                        let (_, class) = Self::relocation_classes(j.source);
                         let stream = match (j.source, content) {
                             (_, PageContent::Translation(_)) => Stream::Translation,
                             // Static WL migrates presumed-cold data.
@@ -2796,50 +2724,8 @@ impl Controller {
             DoneWhat::GcWriteDone { job, from_ppn, content, new } => {
                 self.finalize_move(job, from_ppn, content, new, now);
             }
-            DoneWhat::GcCopyBackDone { job, from, to, content } => {
-                let from_ppn = self.array.geometry().page_index(from);
-                self.finalize_move(job, from_ppn, content, to, now);
-            }
-            DoneWhat::EraseDone { job, block } => {
-                let info = self.array.block_info(block);
-                if info.bad {
-                    // Endurance exhausted: mask the block — it never
-                    // returns to the free pool.
-                    self.stats.bad_blocks_retired += 1;
-                } else {
-                    self.alloc.block_freed(block, info.erase_count);
-                }
-                self.victims.remove(&block);
-                let j = self.jobs[job].take().expect("live job");
-                self.reclaim_active[j.lun as usize] -= 1;
-                match j.source {
-                    IoSource::WearLeveling => self.stats.wl_erases += 1,
-                    IoSource::Scrub => {
-                        self.stats.scrub_erases += 1;
-                        self.scrub_inflight -= 1;
-                    }
-                    _ => self.stats.gc_erases += 1,
-                }
-                self.erases_since_wl += 1;
-                if self.cfg.wl.static_enabled
-                    && self.erases_since_wl >= self.cfg.wl.check_every_erases
-                {
-                    self.erases_since_wl = 0;
-                    self.maybe_wl(now);
-                }
-            }
-            DoneWhat::MapFetchRead { tvpn, addr } => {
-                self.enqueue(
-                    OpClass::MappingRead,
-                    None,
-                    now,
-                    PendKind::Transfer {
-                        addr,
-                        done: DoneWhat::MapFetchXfer { tvpn },
-                    },
-                );
-            }
-            DoneWhat::MapFetchXfer { tvpn } => {
+            DoneWhat::EraseDone { block, owner } => self.erase_done(block, owner, now),
+            DoneWhat::Transferred(AfterXfer::MapFetch { tvpn }) => {
                 let fetch = self.fetches.remove(&tvpn).expect("live fetch");
                 let lpns: Vec<Lpn> = fetch
                     .waiting
@@ -2858,29 +2744,7 @@ impl Controller {
                 }
                 self.drain_ftl_writebacks(now);
             }
-            DoneWhat::WbRead { wb, addr } => {
-                self.enqueue(
-                    OpClass::MappingWrite,
-                    None,
-                    now,
-                    PendKind::Transfer {
-                        addr,
-                        done: DoneWhat::WbXfer { wb },
-                    },
-                );
-            }
-            DoneWhat::WbXfer { wb } => {
-                self.enqueue(
-                    OpClass::MappingWrite,
-                    None,
-                    now,
-                    PendKind::Write {
-                        lun: None,
-                        stream: Stream::Translation,
-                        what: WriteWhat::Translation { wb },
-                    },
-                );
-            }
+            DoneWhat::Transferred(AfterXfer::Wb { wb }) => self.enqueue_translation_write(wb, now),
             DoneWhat::WbWrite { wb, new } => {
                 let job = self.wb_jobs[wb].take().expect("live wb job");
                 let new_ppn = self.array.geometry().page_index(new);
@@ -2916,38 +2780,13 @@ impl Controller {
                 }
                 self.maybe_flush(now);
             }
-            DoneWhat::MergeReadDone { mj, from } => {
-                let source = self.merge_jobs[mj].as_ref().expect("live merge job").source;
-                let (read_class, _) = Self::merge_classes(source);
-                self.enqueue(
-                    read_class,
-                    None,
-                    now,
-                    PendKind::Transfer {
-                        addr: from,
-                        done: DoneWhat::MergeXfer { mj, from },
-                    },
-                );
-            }
-            DoneWhat::MergeXfer { mj, from } => {
-                let source = self.merge_jobs[mj].as_ref().expect("live merge job").source;
-                let (_, write_class) = Self::merge_classes(source);
-                let from_ppn = self.array.geometry().page_index(from);
-                self.enqueue(
-                    write_class,
-                    None,
-                    now,
-                    PendKind::MergeProgram {
-                        mj,
-                        from: Some(from_ppn),
-                    },
-                );
+            DoneWhat::Transferred(AfterXfer::Merge { mj, from_ppn }) => {
+                self.enqueue_merge_program(mj, Some(from_ppn), now);
             }
             DoneWhat::MergeProgDone { mj, from, dest } => {
                 self.stamp_landed(dest);
-                let cur = self.merge_cur(mj);
                 let source = self.merge_jobs[mj].as_ref().unwrap().source;
-                let lpn = cur.lbn * self.ppb() + cur.next as u64;
+                let lpn = self.merge_lpn(mj);
                 match from {
                     Some(f) if self.ftl.peek(lpn) == Some(f) => {
                         // Still current: commit the move.
@@ -2971,34 +2810,6 @@ impl Controller {
                 }
                 self.merge_jobs[mj].as_mut().unwrap().cur.as_mut().unwrap().next += 1;
                 self.advance_merge(mj, now);
-            }
-            DoneWhat::MergeEraseDone { source, block, job } => {
-                let info = self.array.block_info(block);
-                if info.bad {
-                    self.stats.bad_blocks_retired += 1;
-                } else {
-                    self.alloc.block_freed(block, info.erase_count);
-                }
-                match source {
-                    IoSource::WearLeveling => self.stats.wl_erases += 1,
-                    IoSource::Scrub => {
-                        self.stats.scrub_erases += 1;
-                        self.scrub_inflight -= 1;
-                    }
-                    _ => self.stats.merge_erases += 1,
-                }
-                if let Some(mj) = job {
-                    // The victim's erase completes the merge.
-                    self.merge_jobs[mj] = None;
-                    self.merge_active = false;
-                }
-                self.erases_since_wl += 1;
-                if self.cfg.wl.static_enabled
-                    && self.erases_since_wl >= self.cfg.wl.check_every_erases
-                {
-                    self.erases_since_wl = 0;
-                    self.hybrid_maybe_wl(now);
-                }
             }
             DoneWhat::CkptWriteDone => {
                 let more = {
@@ -3025,12 +2836,38 @@ impl Controller {
                     self.retire_checkpoint_slot(old, now);
                 }
             }
-            DoneWhat::CkptEraseDone { block } => {
-                let info = self.array.block_info(block);
+        }
+    }
+
+    /// An erase finished: return the block to the free pool (or mask it,
+    /// its endurance exhausted), then advance its owner. Reclaim and merge
+    /// erases count toward the static wear-leveling trigger; a reserved
+    /// checkpoint block stays reserved, replaced from the pool if it wore
+    /// out (checkpointing pauses if none is available).
+    fn erase_done(&mut self, block: BlockAddr, owner: EraseOwner, now: SimTime) {
+        let info = self.array.block_info(block);
+        if info.bad {
+            self.stats.bad_blocks_retired += 1;
+        } else if !matches!(owner, EraseOwner::Checkpoint) {
+            self.alloc.block_freed(block, info.erase_count);
+        }
+        let source = match owner {
+            EraseOwner::Reclaim { job } => {
+                self.victims.remove(&block);
+                let j = self.jobs[job].take().expect("live job");
+                self.reclaim_active[j.lun as usize] -= 1;
+                j.source
+            }
+            EraseOwner::Merge { source, job } => {
+                if let Some(mj) = job {
+                    // The victim's erase completes the merge.
+                    self.merge_jobs[mj] = None;
+                    self.merge_active = false;
+                }
+                source
+            }
+            EraseOwner::Checkpoint => {
                 if info.bad {
-                    // A reserved block wore out: replace it from the free
-                    // pool (checkpointing pauses if none is available).
-                    self.stats.bad_blocks_retired += 1;
                     let replacement = self.alloc.take_block();
                     if let Some(ck) = &mut self.ckpt {
                         for slot in &mut ck.slots {
@@ -3044,34 +2881,23 @@ impl Controller {
                         }
                     }
                 }
-                // Otherwise the block stays reserved, erased and ready.
+                return;
             }
-        }
-    }
-
-    fn job_class(&self, job: usize, read: bool) -> OpClass {
-        match self.jobs[job].as_ref().expect("live job").source {
-            IoSource::WearLeveling => {
-                if read {
-                    OpClass::WlRead
-                } else {
-                    OpClass::WlWrite
-                }
-            }
+        };
+        match source {
+            IoSource::WearLeveling => self.stats.wl_erases += 1,
             IoSource::Scrub => {
-                if read {
-                    OpClass::ScrubRead
-                } else {
-                    OpClass::ScrubWrite
-                }
+                self.stats.scrub_erases += 1;
+                self.scrub_inflight -= 1;
             }
-            _ => {
-                if read {
-                    OpClass::GcRead
-                } else {
-                    OpClass::GcWrite
-                }
-            }
+            IoSource::Merge => self.stats.merge_erases += 1,
+            _ => self.stats.gc_erases += 1,
+        }
+        self.erases_since_wl += 1;
+        if self.cfg.wl.static_enabled && self.erases_since_wl >= self.cfg.wl.check_every_erases
+        {
+            self.erases_since_wl = 0;
+            self.start_refresh(IoSource::WearLeveling, now);
         }
     }
 
@@ -3126,7 +2952,7 @@ impl Controller {
         };
         if ready {
             let block = self.jobs[job].as_ref().unwrap().victim;
-            self.enqueue_erase(job, block, now);
+            self.enqueue_erase(block, EraseOwner::Reclaim { job }, now);
         }
     }
 

@@ -164,3 +164,12 @@ fn superseded_move_leaves_its_lane_for_the_scan_queue() {
         "scan queue in seq order"
     );
 }
+
+/// The pending slab and the agenda hold ops and completions by value, so
+/// every payload byte is paid per queued op and per scheduled event: a
+/// pending transfer carries an `AfterXfer`, not a whole `DoneWhat`.
+#[test]
+fn op_payloads_stay_small() {
+    assert!(std::mem::size_of::<PendingOp>() <= 88);
+    assert!(std::mem::size_of::<CtrlEvent>() <= 56);
+}

@@ -7,7 +7,7 @@
 use eagletree_controller::{
     wear_summary, ClassTable, MergeCounters, OpClass, ReliabilityStats, RequestKind,
 };
-use eagletree_core::{Histogram, Stage, StageBreakdown};
+use eagletree_core::{Histogram, OnlineStats, Stage, StageBreakdown};
 use eagletree_os::{Os, ThreadStats};
 
 /// Condensed metrics of one simulation run, over a set of measured threads.
@@ -174,10 +174,13 @@ pub fn measure(os: &Os, threads: &[usize]) -> Measured {
     let mut completed = 0u64;
     let mut first = None;
     let mut last = None;
+    // Latency moments pooled over the threads: the spread between their
+    // means counts toward the stddev, not only the spread within each.
+    // Means stay count-weighted sums of the thread means.
+    let mut read_lat = OnlineStats::new();
+    let mut write_lat = OnlineStats::new();
     let mut read_mean = 0.0;
-    let mut read_sd = 0.0;
     let mut write_mean = 0.0;
-    let mut write_sd = 0.0;
     let mut read_p99 = 0.0f64;
     let mut write_p99 = 0.0f64;
     let mut wait = 0.0;
@@ -197,26 +200,16 @@ pub fn measure(os: &Os, threads: &[usize]) -> Measured {
         if let Some(l) = s.last_completion {
             last = Some(last.map_or(l, |x: eagletree_core::SimTime| x.max(l)));
         }
-        // Weighted combination by observation counts.
-        let rn = s.read_lat_us.count() as f64;
-        let wn = s.write_lat_us.count() as f64;
-        read_mean += s.read_lat_us.mean() * rn;
-        read_sd += s.read_lat_us.stddev() * rn;
-        write_mean += s.write_lat_us.mean() * wn;
-        write_sd += s.write_lat_us.stddev() * wn;
+        read_lat.merge(&s.read_lat_us);
+        write_lat.merge(&s.write_lat_us);
+        read_mean += s.read_lat_us.mean() * s.read_lat_us.count() as f64;
+        write_mean += s.write_lat_us.mean() * s.write_lat_us.count() as f64;
         read_p99 = read_p99.max(s.read_latency.p99().as_micros_f64());
         write_p99 = write_p99.max(s.write_latency.p99().as_micros_f64());
         wait += s.queue_wait_us.mean();
         n_stats += 1.0;
     }
-    let rn: f64 = threads
-        .iter()
-        .map(|&t| os.thread_stats(t).read_lat_us.count() as f64)
-        .sum();
-    let wn: f64 = threads
-        .iter()
-        .map(|&t| os.thread_stats(t).write_lat_us.count() as f64)
-        .sum();
+    let (rn, wn) = (read_lat.count() as f64, write_lat.count() as f64);
     let iops = match (first, last) {
         (Some(a), Some(b)) if b > a => completed as f64 / b.since(a).as_secs_f64(),
         _ => 0.0,
@@ -231,10 +224,10 @@ pub fn measure(os: &Os, threads: &[usize]) -> Measured {
         writes,
         read_mean_us: if rn > 0.0 { read_mean / rn } else { 0.0 },
         read_p99_us: read_p99,
-        read_stddev_us: if rn > 0.0 { read_sd / rn } else { 0.0 },
+        read_stddev_us: read_lat.stddev(),
         write_mean_us: if wn > 0.0 { write_mean / wn } else { 0.0 },
         write_p99_us: write_p99,
-        write_stddev_us: if wn > 0.0 { write_sd / wn } else { 0.0 },
+        write_stddev_us: write_lat.stddev(),
         read_p50_us: rt.p50.as_micros_f64(),
         read_p95_us: rt.p95.as_micros_f64(),
         read_p999_us: rt.p999.as_micros_f64(),
@@ -474,6 +467,38 @@ mod tests {
         assert_eq!(d.iter().sum::<f64>(), pts.iter().sum::<f64>());
         // Short series pass through.
         assert_eq!(downsample(&[1.0, 2.0], 10), vec![1.0, 2.0]);
+    }
+
+    #[test]
+    fn latency_moments_pool_threads_with_different_means() {
+        use crate::Setup;
+        use eagletree_workloads::{sequential_fill, Pumped, RandReadGen, Region};
+        let mut os = Setup::small().build();
+        os.add_thread(sequential_fill(32));
+        os.run();
+        // One shallow and one deep reader: their mean latencies differ.
+        let a = os.add_thread(Box::new(Pumped::new(RandReadGen::new(Region::whole(), 300), 1, 1)));
+        let b = os.add_thread(Box::new(Pumped::new(RandReadGen::new(Region::whole(), 300), 32, 2)));
+        os.run();
+        let (sa, sb) = (&os.thread_stats(a).read_lat_us, &os.thread_stats(b).read_lat_us);
+        assert!((sa.mean() - sb.mean()).abs() > 1.0, "readers' means should differ");
+        // Law of total variance over the two threads.
+        let n = (sa.count() + sb.count()) as f64;
+        let mean = (sa.mean() * sa.count() as f64 + sb.mean() * sb.count() as f64) / n;
+        let var = [sa, sb]
+            .iter()
+            .map(|s| s.count() as f64 * (s.variance() + (s.mean() - mean).powi(2)))
+            .sum::<f64>()
+            / n;
+        let m = measure(&os, &[a, b]);
+        assert_eq!(m.reads, sa.count() + sb.count());
+        assert!((m.read_mean_us - mean).abs() < 1e-6 * mean);
+        assert!(
+            (m.read_stddev_us - var.sqrt()).abs() < 1e-6 * var.sqrt(),
+            "pooled stddev {} != {}",
+            m.read_stddev_us,
+            var.sqrt()
+        );
     }
 
     #[test]

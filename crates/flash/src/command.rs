@@ -53,17 +53,6 @@ impl FlashCommand {
             FlashCommand::CopyBack { from, .. } => from.lun,
         }
     }
-
-    /// Short mnemonic for traces.
-    pub fn mnemonic(&self) -> &'static str {
-        match self {
-            FlashCommand::ReadStart(_) => "READ",
-            FlashCommand::TransferOut(_) => "XFER",
-            FlashCommand::Program(_) => "PROG",
-            FlashCommand::Erase(_) => "ERASE",
-            FlashCommand::CopyBack { .. } => "CPBK",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -100,24 +89,5 @@ mod tests {
         };
         assert_eq!(cb.channel(), 1);
         assert_eq!(cb.lun(), 1);
-    }
-
-    #[test]
-    fn mnemonics_are_distinct() {
-        let cmds = [
-            FlashCommand::ReadStart(addr(0, 0)).mnemonic(),
-            FlashCommand::TransferOut(addr(0, 0)).mnemonic(),
-            FlashCommand::Program(addr(0, 0)).mnemonic(),
-            FlashCommand::Erase(addr(0, 0).block_addr()).mnemonic(),
-            FlashCommand::CopyBack {
-                from: addr(0, 0),
-                to: addr(0, 0),
-            }
-            .mnemonic(),
-        ];
-        let mut unique = cmds.to_vec();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(unique.len(), cmds.len());
     }
 }
